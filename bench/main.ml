@@ -7,7 +7,9 @@
    dune exec bench/main.exe table1-smoke -- fast units minus the
                                             deadline-bound ones (CI's
                                             -j equivalence check)
-   dune exec bench/main.exe ablations    -- ablations A-D
+   dune exec bench/main.exe ablations    -- ablations A-E
+   dune exec bench/main.exe ablationA    -- one ablation (ablationA ..
+                                            ablationE)
    dune exec bench/main.exe micro        -- bechamel kernels
    dune exec bench/main.exe discovery    -- found-vs-planted target table
                                             on blind (--no-targets) units;
@@ -15,6 +17,8 @@
                                             smoke units and enforce the
                                             recovery/parity/cost gates
                                             (CI's discovery check)
+   dune exec bench/main.exe serve-stress -- the smoke units against a
+                                            live server (see below)
 
    Options (anywhere in argv):
    --no-simplify   disable SatELite-style CNF preprocessing in every SAT
@@ -22,16 +26,13 @@
    -j N            run the Table 1 sweep on N worker domains (default 1;
                    cost/gates/status columns and counter totals are
                    identical to -j 1 — only wall-clock changes)
+   --units U1,U2   run only the named units (table1*, discovery,
+                   serve-stress)
    --no-verify     skip the verification ladder (for quick smoke runs)
    --certify       independently certify every final SAT/UNSAT verdict
                    (models re-evaluated, UNSAT proofs replayed); prints a
                    certification summary and exits non-zero if any check
                    fails
-   --reuse-sessions serve all targets of each unit from one incremental
-                   SAT session instead of a fresh instance per target
-   --inprocess     with --reuse-sessions: run an inprocessing round on each
-                   session solver after every retarget (sat.inprocess.*
-                   counters)
    --exact-synth   SAT-exact resynthesis of committed patches (≤ 6 support
                    inputs); commit-time only — statuses and costs are
                    identical with the flag on or off, gates/depth drop
@@ -68,8 +69,6 @@ let () =
   if List.mem "--no-simplify" args then Sat.Simplify.enabled := false;
   let verify = not (List.mem "--no-verify" args) in
   let certify = List.mem "--certify" args in
-  let reuse = List.mem "--reuse-sessions" args in
-  let inprocess = List.mem "--inprocess" args in
   let exact_synth = List.mem "--exact-synth" args in
   let rewrite = List.mem "--rewrite" args in
   (* Consume "-j N" / "--json FILE" pairs (and "-jN"), leaving the
@@ -100,16 +99,30 @@ let () =
       match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
       | Some n when n >= 1 -> jobs := n; strip rest
       | _ -> Printf.eprintf "bad option %S\n" a; exit 2)
-    | ("--no-simplify" | "--no-verify" | "--certify" | "--reuse-sessions" | "--inprocess"
-      | "--no-cache" | "--smoke" | "--exact-synth" | "--rewrite")
+    | ("--no-simplify" | "--no-verify" | "--certify" | "--no-cache" | "--smoke" | "--exact-synth"
+      | "--rewrite")
       :: rest -> strip rest
     | a :: rest -> a :: strip rest
   in
   let what = match strip args with [] -> "all" | w :: _ -> w in
   let jobs = !jobs in
   let json = !json in
+  (* The experiment's own unit list, or the --units selection. *)
+  let units_or default =
+    match !only with
+    | None -> default
+    | Some names ->
+      List.map
+        (fun name ->
+          match Gen.Suite.find name with
+          | spec -> spec
+          | exception Not_found ->
+            Printf.eprintf "unknown unit %S\n" name;
+            exit 2)
+        names
+  in
   let table1 units =
-    ignore (Table1.run ~units ~json ~jobs ~verify ~certify ~reuse ~inprocess ~exact_synth ~rewrite ());
+    ignore (Table1.run ~units ~json ~jobs ~verify ~certify ~exact_synth ~rewrite ());
     if certify then begin
       let snap = Telemetry.snapshot () in
       let get n = match List.assoc_opt n snap with Some v -> v | None -> 0 in
@@ -120,9 +133,9 @@ let () =
     end
   in
   match what with
-  | "table1" -> table1 Gen.Suite.all
-  | "table1-fast" -> table1 fast_units
-  | "table1-smoke" -> table1 smoke_units
+  | "table1" -> table1 (units_or Gen.Suite.all)
+  | "table1-fast" -> table1 (units_or fast_units)
+  | "table1-smoke" -> table1 (units_or smoke_units)
   | "ablations" -> Ablations.run_all ()
   | "ablationA" -> Ablations.ablation_a ()
   | "ablationB" -> Ablations.ablation_b ()
@@ -132,26 +145,23 @@ let () =
   | "micro" -> Micro.run ()
   | "discovery" ->
     let json = if json = "BENCH_table1.json" then "BENCH_discovery.json" else json in
-    let units =
-      match !only with
-      | Some names -> List.map Gen.Suite.find names
-      | None -> if smoke then smoke_units else Gen.Suite.all
-    in
+    let units = units_or (if smoke then smoke_units else Gen.Suite.all) in
     let failures = Discovery.run ~units ~json ~jobs ~gate:smoke () in
     if failures > 0 then exit 1
   | "serve-stress" ->
     let json = if json = "BENCH_table1.json" then "BENCH_stress.json" else json in
     let failures =
-      Stress.run ~units:smoke_units ~socket:!socket ~jobs ~repeat:!repeat ~no_cache ~certify
-        ~json ()
+      Stress.run ~units:(units_or smoke_units) ~socket:!socket ~jobs ~repeat:!repeat ~no_cache
+        ~certify ~json ()
     in
     if failures > 0 then exit 1
   | "all" ->
-    table1 Gen.Suite.all;
+    table1 (units_or Gen.Suite.all);
     Ablations.run_all ();
     Micro.run ()
   | other ->
     Printf.eprintf
-      "unknown experiment %S (table1 | table1-fast | table1-smoke | ablations | ablationA..D | micro | serve-stress | all)\n"
+      "unknown experiment %S (table1 | table1-fast | table1-smoke | ablations | ablationA..E | \
+       micro | discovery | serve-stress | all)\n"
       other;
     exit 2

@@ -25,10 +25,10 @@ type row = {
 let methods = [| Eco.Engine.Baseline; Eco.Engine.Min_assume; Eco.Engine.Exact |]
 let method_names = [| "w/o minimize_assumptions"; "w/ minimize_assumptions"; "SAT_prune+CEGAR_min" |]
 
-let config_for ?(verify = true) ?(certify = false) ?(reuse = false) ?(inprocess = false)
-    ?(exact_synth = false) ?(rewrite = false) (spec : Gen.Suite.unit_spec) method_ =
+let config_for ?(verify = true) ?(certify = false) ?(exact_synth = false) ?(rewrite = false)
+    (spec : Gen.Suite.unit_spec) method_ =
   let c = Eco.Engine.config_of_method method_ in
-  let c = { c with Eco.Engine.certify; reuse_sessions = reuse; inprocess; exact_synth; rewrite } in
+  let c = { c with Eco.Engine.certify; exact_synth; rewrite } in
   let c = if verify then c else { c with Eco.Engine.verify = false } in
   if spec.Gen.Suite.structural then
     (* Structural units stand in for the paper's SAT timeouts: keep their
@@ -42,8 +42,7 @@ let config_for ?(verify = true) ?(certify = false) ?(reuse = false) ?(inprocess 
    unit's solver effort to its row even while other units run concurrently
    (and in a sequential run the diffs coincide with global-snapshot
    diffs). *)
-let run_unit ?(progress = true) ?verify ?certify ?reuse ?inprocess ?exact_synth ?rewrite
-    (spec : Gen.Suite.unit_spec) =
+let run_unit ?(progress = true) ?verify ?certify ?exact_synth ?rewrite (spec : Gen.Suite.unit_spec) =
   let inst = Gen.Suite.instantiate spec in
   let counters = Array.make (Array.length methods) [] in
   let results =
@@ -55,7 +54,7 @@ let run_unit ?(progress = true) ?verify ?certify ?reuse ?inprocess ?exact_synth 
             | Eco.Engine.Baseline -> "baseline"
             | Eco.Engine.Min_assume -> "min_assume"
             | Eco.Engine.Exact -> "exact");
-        let config = config_for ?verify ?certify ?reuse ?inprocess ?exact_synth ?rewrite spec m in
+        let config = config_for ?verify ?certify ?exact_synth ?rewrite spec m in
         let before = Telemetry.local_snapshot () in
         let outcome =
           match Eco.Engine.solve ~config inst with
@@ -186,14 +185,14 @@ let failed_row (spec : Gen.Suite.unit_spec) exn =
   }
 
 let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?verify ?certify
-    ?reuse ?inprocess ?exact_synth ?rewrite () =
+    ?exact_synth ?rewrite () =
   Printf.printf "\n=== Table 1: ICCAD'17-style suite, three configurations ===\n";
   if jobs > 1 then Printf.eprintf "  (parallel sweep: %d worker domains)\n%!" jobs;
   let rows =
     List.map2
       (fun spec -> function Ok row -> row | Error e -> failed_row spec e)
       units
-      (Pool.map ~jobs (run_unit ?verify ?certify ?reuse ?inprocess ?exact_synth ?rewrite) units)
+      (Pool.map ~jobs (run_unit ?verify ?certify ?exact_synth ?rewrite) units)
   in
   print_rows rows;
   write_json json rows;

@@ -134,12 +134,6 @@ let solve_cmd =
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict: models are evaluated against the original clause sets and UNSAT answers re-derived with their resolution proofs replayed by a standalone checker.  Exits non-zero if any check fails.")
   in
-  let reuse_sessions =
-    Arg.(value & flag & info [ "reuse-sessions" ] ~doc:"Serve all targets of the unit from one incremental SAT session (shared solver and CNF encoding, retractable per-target clause groups) instead of a fresh instance per target; encode savings land in the session.* counters.")
-  in
-  let inprocess =
-    Arg.(value & flag & info [ "inprocess" ] ~doc:"With --reuse-sessions: run an inprocessing round (clause GC, learnt re-subsumption, vivification, XOR/Gauss, failed-literal probing, equivalent-literal substitution) on the session solver after each retarget; progress lands in the sat.inprocess.* counters.")
-  in
   let discover =
     Arg.(value & flag & info [ "discover" ] ~doc:"Discover the target signals first by SAT-based diffing of the implementation against the specification ($(b,--target) becomes optional; any given targets are ignored), then solve for the discovered set.  The discovered targets are advisory: the solve re-establishes feasibility and the patch is verified as usual.")
   in
@@ -156,8 +150,7 @@ let solve_cmd =
     Arg.(value & opt int 1 & info [ "depth-weight" ] ~docv:"N" ~doc:"β of the rewrite acceptance cost α·gates + β·depth (default 1).")
   in
   let run impl_file spec_file targets unit_name weights method_ structural out budget stats trace
-      no_simplify certify reuse_sessions inprocess discover exact_synth rewrite gate_weight
-      depth_weight =
+      no_simplify certify discover exact_synth rewrite gate_weight depth_weight =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if budget < 0 then usage "--budget expects a non-negative conflict count";
@@ -194,8 +187,6 @@ let solve_cmd =
         Server.Request.default_options with
         Server.Request.method_;
         certify;
-        reuse_sessions;
-        inprocess;
         structural;
         budget;
         exact_synth;
@@ -231,7 +222,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ impl_file $ spec_file $ targets $ unit_name $ weights $ method_ $ structural
-      $ out $ budget $ stats $ trace $ no_simplify $ certify $ reuse_sessions $ inprocess
+      $ out $ budget $ stats $ trace $ no_simplify $ certify
       $ discover $ exact_synth $ rewrite $ gate_weight $ depth_weight)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute ECO patch functions for the given targets.") term
@@ -296,12 +287,6 @@ let batch_cmd =
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict of every unit; the batch fails if any check fails.")
   in
-  let reuse_sessions =
-    Arg.(value & flag & info [ "reuse-sessions" ] ~doc:"Serve all targets of each unit from one incremental SAT session instead of a fresh instance per target.")
-  in
-  let inprocess =
-    Arg.(value & flag & info [ "inprocess" ] ~doc:"With --reuse-sessions: inprocess each unit's session solver after every retarget (sat.inprocess.* counters).")
-  in
   let exact_synth =
     Arg.(value & flag & info [ "exact-synth" ] ~doc:"SAT-exact resynthesis of committed patches with at most 6 support inputs (commit-time only; statuses and costs are unchanged).")
   in
@@ -314,8 +299,8 @@ let batch_cmd =
   let depth_weight =
     Arg.(value & opt int 1 & info [ "depth-weight" ] ~docv:"N" ~doc:"β of the rewrite acceptance cost α·gates + β·depth (default 1).")
   in
-  let run units jobs method_ no_verify no_simplify stats certify reuse_sessions inprocess
-      exact_synth rewrite gate_weight depth_weight =
+  let run units jobs method_ no_verify no_simplify stats certify exact_synth rewrite gate_weight
+      depth_weight =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if jobs < 1 then usage "-j expects a positive worker count";
@@ -338,8 +323,6 @@ let batch_cmd =
         {
           c with
           Eco.Engine.certify;
-          reuse_sessions;
-          inprocess;
           exact_synth;
           rewrite;
           synth_gate_weight = gate_weight;
@@ -395,7 +378,7 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Solve a list of benchmark units, optionally in parallel over worker domains.")
-    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify $ reuse_sessions $ inprocess $ exact_synth $ rewrite $ gate_weight $ depth_weight)
+    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify $ exact_synth $ rewrite $ gate_weight $ depth_weight)
 
 (* {2 suite} *)
 

@@ -1,9 +1,9 @@
 (* Certification of final solver verdicts.
 
-   A [log] records the original clause set of one solver session —
-   attached as a tap on the session's [Sat.Simplify] front end, it sees
-   every clause exactly as the caller stated it, before preprocessing.
-   Against that log:
+   A [log] records the original clause set of one solver — attached as a
+   tap on the solver's [Sat.Simplify] front end, it sees every clause
+   exactly as the caller stated it, before preprocessing.  Against that
+   log:
 
    - SAT answers are certified by evaluating the (extension-stack
      extended) model on every recorded clause ([certify_sat]);
@@ -26,10 +26,6 @@ type verdict = Certified | Check_failed of string
 
 type log = {
   clauses : Sat.Lit.t array Sat.Vec.t;
-  derived : Sat.Lit.t array Sat.Vec.t;
-      (* inprocessing-derived clauses: implied by [clauses], model-checked
-         on SAT verdicts, but NEVER admissible as UNSAT replay leaves — a
-         bogus derived clause must not be able to launder a wrong UNSAT *)
   mutable max_var : int; (* largest variable mentioned; -1 when none *)
 }
 
@@ -40,29 +36,18 @@ let tc_proofs = Telemetry.Counter.make "cert.proofs"
 let tc_proof_steps = Telemetry.Counter.make "cert.proof_steps"
 let tc_rup = Telemetry.Counter.make "cert.rup_fallbacks"
 
-let create_log () =
-  {
-    clauses = Sat.Vec.create ~dummy:[||] ();
-    derived = Sat.Vec.create ~dummy:[||] ();
-    max_var = -1;
-  }
+let create_log () = { clauses = Sat.Vec.create ~dummy:[||] (); max_var = -1 }
 
 let record_clause log lits =
   Array.iter (fun l -> log.max_var <- max log.max_var (Sat.Lit.var l)) lits;
   Sat.Vec.push log.clauses lits
 
-let record_derived_clause log lits =
-  Array.iter (fun l -> log.max_var <- max log.max_var (Sat.Lit.var l)) lits;
-  Sat.Vec.push log.derived lits
-
 let attach simp =
   let log = create_log () in
   Sat.Simplify.set_tap simp (record_clause log);
-  Sat.Simplify.set_derived_tap simp (record_derived_clause log);
   log
 
 let n_clauses log = Sat.Vec.size log.clauses
-let n_derived log = Sat.Vec.size log.derived
 
 (* Outcome accounting shared by every certification site: one cert.checked
    per attempt, cert.failed plus a trace event on failure. *)
@@ -77,25 +62,11 @@ let record site v =
         [ ("site", Telemetry.Value.Str site); ("reason", Telemetry.Value.Str reason) ]);
   v
 
-let certify_sat ?(assumptions = []) log ~value =
+let certify_sat log ~value =
   Telemetry.Counter.incr tc_models;
-  (* Assumption literals are part of the claim but not of the recorded
-     clause set (e.g. a session's copy-output constraints): the model must
-     satisfy them too, or the verdict "SAT under these assumptions" is
-     unsupported. *)
-  if List.exists (fun l -> not (value l)) assumptions then
-    Check_failed "model does not satisfy an assumption literal"
-  else
-    match Checker.check_model ~value (Sat.Vec.to_list log.clauses) with
-    | Checker.Invalid reason -> Check_failed reason
-    | Checker.Valid -> (
-      (* Derived clauses are implied by the recorded set, so a true model
-         satisfies them too.  A violation means the solver's model state
-         and the derivations diverged — e.g. a substitution lost from the
-         extension stack. *)
-      match Checker.check_model ~value (Sat.Vec.to_list log.derived) with
-      | Checker.Valid -> Certified
-      | Checker.Invalid reason -> Check_failed ("derived clause: " ^ reason))
+  match Checker.check_model ~value (Sat.Vec.to_list log.clauses) with
+  | Checker.Valid -> Certified
+  | Checker.Invalid reason -> Check_failed reason
 
 (* Canonical (sorted, duplicate-free) literal array, for leaf lookups. *)
 let canon lits =
@@ -134,21 +105,3 @@ let certify_unsat ?(budget = 0) log ~assumptions =
       (match verdict with
       | Checker.Valid -> Certified
       | Checker.Invalid reason -> Check_failed ("proof replay: " ^ reason)))
-
-(* A derived clause C is certified by refuting [clauses /\ ~C]: assume the
-   negation of every literal of C and re-derive UNSAT from the recorded
-   original clauses alone.  The derived log is not consulted, so a forged
-   derived clause cannot certify itself. *)
-let certify_derived ?budget log lits =
-  let c = canon lits in
-  let taut =
-    let t = ref false in
-    Array.iteri
-      (fun i l -> if i > 0 && c.(i - 1) land lnot 1 = l land lnot 1 then t := true)
-      c;
-    !t
-  in
-  if taut then Certified
-  else
-    certify_unsat ?budget log
-      ~assumptions:(List.map Sat.Lit.neg (Array.to_list c))

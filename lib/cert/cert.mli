@@ -3,7 +3,7 @@
     The solver stack answers "this clause set is satisfiable (here is a
     model)" or "unsatisfiable (trust me / here is a core)".  This layer
     validates those answers against the {e original} clause set of the
-    session, recorded by a tap on the {!Sat.Simplify} front end before
+    solver, recorded by a tap on the {!Sat.Simplify} front end before
     any preprocessing:
 
     - a SAT verdict is certified by evaluating the model (as extended
@@ -28,37 +28,24 @@ module Checker = Checker
 type verdict = Certified | Check_failed of string
 
 type log
-(** The recorded original clause set of one solver session. *)
+(** The recorded original clause set of one solver. *)
 
 val create_log : unit -> log
 
 val attach : Sat.Simplify.t -> log
-(** Creates a log and installs it as the simplifier's clause tap {e and}
-    derived-clause tap: every clause subsequently added through the
-    simplifier is recorded as original, and every clause
-    {!Sat.Simplify.inprocess} derives is recorded as derived.  Call
+(** Creates a log and installs it as the simplifier's clause tap: every
+    clause subsequently added through the simplifier is recorded.  Call
     before the first clause is added. *)
 
 val record_clause : log -> Sat.Lit.t array -> unit
 (** Manual recording for clauses that bypass a simplifier. *)
 
-val record_derived_clause : log -> Sat.Lit.t array -> unit
-(** Manual recording of an inprocessing-derived clause.  Derived clauses
-    are held apart from the original set: {!certify_sat} model-checks
-    them (any implied clause must hold in a true model), but
-    {!certify_unsat} never admits them as proof leaves — a bogus derived
-    clause must not be able to launder a wrong UNSAT verdict. *)
-
 val n_clauses : log -> int
-val n_derived : log -> int
 
-val certify_sat : ?assumptions:Sat.Lit.t list -> log -> value:(Sat.Lit.t -> bool) -> verdict
+val certify_sat : log -> value:(Sat.Lit.t -> bool) -> verdict
 (** Certifies a SAT verdict: [value] (typically {!Sat.Simplify.value} on
-    the session's simplifier, which replays the model-extension stack)
-    must satisfy every recorded clause, and every literal in
-    [?assumptions] — constraints the session carried as assumptions rather
-    than clauses (e.g. an incremental session's copy-output literals),
-    which the recorded clause set alone cannot witness. *)
+    the solver's simplifier, which replays the model-extension stack)
+    must satisfy every recorded clause. *)
 
 val certify_unsat : ?budget:int -> log -> assumptions:Sat.Lit.t list -> verdict
 (** Certifies an UNSAT verdict: the recorded clauses together with the
@@ -66,14 +53,6 @@ val certify_unsat : ?budget:int -> log -> assumptions:Sat.Lit.t list -> verdict
     UNSAT) are re-derived as unsatisfiable and the proof is replayed.
     [?budget] bounds the re-derivation's conflicts (0, the default, is
     unlimited); exhausting it yields [Check_failed]. *)
-
-val certify_derived : ?budget:int -> log -> Sat.Lit.t array -> verdict
-(** Certifies one inprocessing-derived clause [C]: the recorded original
-    clauses together with the negation of every literal of [C] are
-    re-derived as unsatisfiable (i.e. the original set implies [C]).
-    Only original clauses are admissible replay leaves, so a forged
-    derived clause cannot certify itself.  Tautologies are trivially
-    certified. *)
 
 val record : string -> verdict -> verdict
 (** [record site v] books [v] into the cert telemetry counters (and, on

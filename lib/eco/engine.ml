@@ -15,8 +15,6 @@ type config = {
   sat_prune_deadline : float; (* seconds per target for the exact search *)
   sweep_patches : bool; (* SAT-sweep structural patch circuits *)
   patch_deadline : float; (* seconds per target for cube enumeration *)
-  reuse_sessions : bool; (* one incremental SAT session per unit *)
-  inprocess : bool; (* inprocess the session's solver between targets *)
   exact_synth : bool; (* SAT-exact resynthesis of small patch functions *)
   rewrite : bool; (* DAG-aware cut rewriting of larger patch circuits *)
   synth_gate_weight : int; (* alpha of the rewrite cost alpha*gates + beta*depth *)
@@ -39,8 +37,6 @@ let config_of_method m =
     sat_prune_deadline = 15.0;
     sweep_patches = true;
     patch_deadline = 60.0;
-    reuse_sessions = false;
-    inprocess = false;
     exact_synth = false;
     rewrite = false;
     synth_gate_weight = 4;
@@ -181,35 +177,15 @@ let commit_steps acc =
 
 let discard_steps acc = Telemetry.Counter.add tc_discarded (List.length acc)
 
-(* SAT pipeline: targets one at a time (§3.1); raises
-   Min_assume.Budget_exhausted to trigger the structural fallback.
-   Completed steps accumulate in [acc] so a mid-flight timeout keeps the
-   targets already substituted.  With [config.reuse_sessions] a single
-   incremental session (one solver, one CNF encoding of the shared divisor
-   cones) serves every target's support search and cube enumeration;
-   otherwise each target gets the legacy fresh instance. *)
+(* SAT pipeline: targets one at a time (§3.1), each on a fresh two-copy
+   instance; raises Min_assume.Budget_exhausted to trigger the structural
+   fallback.  Completed steps accumulate in [acc] so a mid-flight timeout
+   keeps the targets already substituted. *)
 let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
-  let session =
-    if config.reuse_sessions then
-      Some
-        (Two_copy.create_session ~certify:config.certify
-           ~inprocess:config.inprocess miter)
-    else None
-  in
   List.iter
     (fun (name, _) ->
       let m_i = Miter.quantify_others miter ~keep:name in
-      let tc =
-        match session with
-        | Some tc ->
-          Two_copy.retarget tc ~m_i ~target:name;
-          tc
-        | None -> Two_copy.build ~certify:config.certify miter ~m_i ~target:name
-      in
-      (* Delta accounting: a shared session's call counter spans all
-         targets (a fresh instance starts at 0, so this is the legacy
-         number too). *)
-      let calls0 = Two_copy.solver_calls tc in
+      let tc = Two_copy.build ~certify:config.certify miter ~m_i ~target:name in
       let budget = config.sat_budget in
       let selection =
         (* The two-copy solver calls are charged whether or not the search
@@ -239,10 +215,10 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
               incumbent)
         with
         | selection ->
-          sat_calls := !sat_calls + (Two_copy.solver_calls tc - calls0);
+          sat_calls := !sat_calls + Two_copy.solver_calls tc;
           selection
         | exception Min_assume.Budget_exhausted ->
-          sat_calls := !sat_calls + (Two_copy.solver_calls tc - calls0);
+          sat_calls := !sat_calls + Two_copy.solver_calls tc;
           raise Min_assume.Budget_exhausted
       in
       match selection with
@@ -252,7 +228,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
           match
             Telemetry.with_phase "patch_fun" @@ fun () ->
             Patch_fun.compute ~budget ~certify:config.certify ~max_cubes:config.max_cubes
-              ~deadline:config.patch_deadline ~synth:(synth_opts_of config) ?session miter
+              ~deadline:config.patch_deadline ~synth:(synth_opts_of config) miter
               ~m_i ~target:name ~chosen:sel.Support.indices
           with
           | pf -> pf

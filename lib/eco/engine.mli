@@ -41,23 +41,6 @@ type config = {
   patch_deadline : float;
       (** wall-clock seconds per target for cube enumeration before the
           engine falls back to the structural path *)
-  reuse_sessions : bool;
-      (** serve every target of the unit from one incremental SAT session
-          ({!Two_copy.create_session}): one solver and one CNF encoding of
-          the shared divisor cones answer both the two-copy support query
-          and the patch-function onset/offset queries, with per-target
-          blocking cubes in a retractable clause group.  Savings land in
-          the [session.*] telemetry counters.  Off (the default) keeps the
-          legacy fresh-instance-per-target behaviour. *)
-  inprocess : bool;
-      (** with [reuse_sessions], run one {!Sat.Simplify.inprocess} round
-          after each retarget onto a previously-used solver database:
-          garbage-collect the retracted cube group, re-subsume and vivify
-          learnt clauses, recover XOR constraints, probe failed literals,
-          and substitute equivalent literals.  Statuses and costs are
-          unchanged (all derivations are implied clauses); propagation and
-          conflict counts drop.  Progress lands in the [sat.inprocess.*]
-          telemetry counters.  No effect without [reuse_sessions]. *)
   exact_synth : bool;
       (** resynthesize every committed patch with ≤ 6 support inputs by
           SAT-exact synthesis ({!Synth.Exact}), run with the factored

@@ -14,25 +14,10 @@ let tc_aborts = Telemetry.Counter.make "patch_fun.aborts"
 let tc_cubes = Telemetry.Counter.make "patch_fun.cubes"
 let tc_sat_calls = Telemetry.Counter.make "patch_fun.sat_calls"
 
-(* The enumeration loop is shared between the legacy per-target solver and
-   the shared incremental session; the two differ only in how a query is
-   posed and how a cube is blocked, abstracted here.  In legacy mode both
-   query sides read the same divisor literals; in session mode the onset
-   side is copy 1 of the two-copy session and the offset side copy 2, and
-   blocking clauses go to the session's retractable cube group (mirrored
-   on both copies, matching the legacy solver where the single copy's
-   blocking clauses were visible to offset queries too). *)
-type ops = {
-  op_solve : Sat.Lit.t list -> Sat.Solver.result; (* budget applied per call *)
-  op_onset : Sat.Lit.t list; (* assumptions: the miter fires under n = 0 *)
-  op_offset : Sat.Lit.t list; (* assumption base: the miter fires under n = 1 *)
-  op_point : int -> bool; (* onset-model value of chosen divisor [j] *)
-  op_cand : int -> bool -> Sat.Lit.t; (* offset-side literal: divisor j = phase *)
-  op_index : Sat.Lit.t -> int; (* offset-side literal -> chosen index *)
-  op_block : (int * bool) list -> unit; (* block an accepted prime cube *)
-  op_certify : string -> Sat.Lit.t list -> unit;
-  op_calls : unit -> int; (* solver calls attributable to this compute *)
-}
+(* Encoding effort, booked under the same counters as [Two_copy.build]. *)
+let tc_encodes = Telemetry.Counter.make "session.solver_encodes"
+let tc_vars = Telemetry.Counter.make "session.vars_encoded"
+let tc_clauses = Telemetry.Counter.make "session.clauses_encoded"
 
 (* Var-keyed index for prime-literal recovery, replacing the quadratic
    rescans of the divisor-literal array.  Two chosen divisors can share a
@@ -50,84 +35,14 @@ let index_table lits =
     | Some i -> i
     | None -> invalid_arg "Patch_fun: unknown literal"
 
-let enumerate ~max_cubes ~stop_at ~synth ~k ~support ~target (ops : ops) =
-  let cubes = ref [] in
-  let n_cubes = ref 0 in
-  let tautology = ref false in
-  let continue = ref true in
-  (* Abort paths (budget, cube cap, deadline) still represent real solver
-     effort: record the partial counts in the telemetry counters and hand
-     them to the caller, so structural-fallback rows report the SAT calls
-     that were actually made. *)
-  let give_up () =
-    Telemetry.Counter.incr tc_aborts;
-    Telemetry.Counter.add tc_cubes !n_cubes;
-    Telemetry.Counter.add tc_sat_calls (ops.op_calls ());
-    raise (Exhausted { partial_sat_calls = ops.op_calls (); partial_cubes = !n_cubes })
+let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 0.0)
+    ?(synth = Patch.default_synth_opts) (miter : Miter.t) ~m_i ~target ~chosen =
+  let stop_at = Deadline.after deadline in
+  let divisors = Array.of_list (List.map (fun i -> miter.Miter.divisors.(i)) chosen) in
+  let support =
+    Array.to_list (Array.map (fun d -> (d.Miter.div_name, d.Miter.div_cost)) divisors)
   in
-  let unsat assumptions = ops.op_solve assumptions = Sat.Solver.Unsat in
-  try
-    while !continue do
-      if !n_cubes > max_cubes then raise Min_assume.Budget_exhausted;
-      if Deadline.expired stop_at then raise Min_assume.Budget_exhausted;
-      match ops.op_solve ops.op_onset with
-      | Sat.Solver.Unsat ->
-        (* Terminating verdict: the onset is covered — certify it. *)
-        ops.op_certify "patch_fun.onset" ops.op_onset;
-        continue := false
-      | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
-      | Sat.Solver.Sat ->
-        (* Divisor-space point of this onset witness. *)
-        let point = Array.init k ops.op_point in
-        let cand = List.init k (fun i -> ops.op_cand i point.(i)) in
-        (* The full cube must avoid the offset; otherwise the divisor set was
-           not sufficient. *)
-        if not (unsat (ops.op_offset @ cand)) then
-          failwith "Patch_fun.compute: divisor subset is not a valid support";
-        (* Expand to a prime cube: minimal literal subset keeping the offset
-           side unsatisfiable. *)
-        let prime = Min_assume.minimize ~unsat ~base:ops.op_offset cand in
-        (* The accepted prime's UNSAT core (offset-freeness) is what makes the
-           cube sound — certify it before committing the cube. *)
-        ops.op_certify "patch_fun.prime" (ops.op_offset @ prime);
-        incr n_cubes;
-        if prime = [] then begin
-          (* Empty cube: the offset is empty — the patch is constant 1. *)
-          tautology := true;
-          continue := false
-        end
-        else begin
-          (* Recover (divisor index, phase): a kept literal is cand_i, whose
-             phase in the cube is the model value of the divisor. *)
-          let lits = List.map (fun l -> let i = ops.op_index l in (i, point.(i))) prime in
-          cubes := Twolevel.Cube.of_literals k lits :: !cubes;
-          (* Block the cube on the onset side (it is offset-free, so blocking
-             it globally removes no offset point). *)
-          ops.op_block lits
-        end
-    done;
-    let sop =
-      if !tautology then Twolevel.Sop.one k
-      else Twolevel.Sop.scc_minimize (Twolevel.Sop.create k (List.rev !cubes))
-    in
-    let expr = Twolevel.Factor.factor sop in
-    let raw_patch = Patch.of_expr ~sop ~target ~support expr in
-    (* Resynthesis happens after the certification-relevant work: the
-       improved circuit is BDD-verified against the SOP inside
-       [Patch.improve] and never substituted into the miter. *)
-    let patch = Patch.improve ~deadline:stop_at synth raw_patch in
-    Telemetry.Counter.incr tc_runs;
-    Telemetry.Counter.add tc_cubes !n_cubes;
-    Telemetry.Counter.add tc_sat_calls (ops.op_calls ());
-    { patch; raw_patch; cubes_enumerated = !n_cubes; sat_calls = ops.op_calls () }
-  with Min_assume.Budget_exhausted -> give_up ()
-
-let tc_vars = Telemetry.Counter.make "session.vars_encoded"
-let tc_clauses = Telemetry.Counter.make "session.clauses_encoded"
-let tc_encodes = Telemetry.Counter.make "session.solver_encodes"
-let tc_encodes_saved = Telemetry.Counter.make "session.encodes_saved"
-
-let legacy_ops ~budget ~certify (miter : Miter.t) ~m_i ~target ~divisors =
+  let k = Array.length divisors in
   let solver = Sat.Solver.create () in
   (* Preprocessing stays opt-out here: cube enumeration consumes onset
      models, and variable elimination perturbs which witness each solve
@@ -153,80 +68,91 @@ let legacy_ops ~budget ~certify (miter : Miter.t) ~m_i ~target ~divisors =
   Telemetry.Counter.add tc_vars (Sat.Solver.nvars solver);
   Telemetry.Counter.add tc_clauses (Sat.Solver.nclauses solver);
   let index_of = index_table d_sat in
-  {
-    op_solve =
-      (fun assumptions ->
-        if budget > 0 then Sat.Solver.set_budget solver budget;
-        match Sat.Simplify.solve ~assumptions simp with
-        | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
-        | r -> r);
-    op_onset = [ m_sat; Sat.Lit.neg n_sat ];
-    op_offset = [ m_sat; n_sat ];
-    op_point = (fun i -> Sat.Simplify.value simp d_sat.(i));
-    op_cand = (fun i phase -> Sat.Lit.apply_sign d_sat.(i) (not phase));
-    op_index = index_of;
-    op_block =
-      (fun lits ->
-        Sat.Simplify.add_clause simp
-          (List.map (fun (i, phase) -> Sat.Lit.neg (Sat.Lit.apply_sign d_sat.(i) (not phase))) lits));
-    op_certify =
-      (fun site assumptions ->
-        match cert_log with
-        | None -> ()
-        | Some log ->
-          ignore (Cert.record site (Cert.certify_unsat ~budget:cert_budget log ~assumptions)));
-    op_calls = (fun () -> Sat.Solver.n_solve_calls solver);
-  }
-
-let session_ops ~budget tc ~chosen =
-  let chosen = Array.of_list chosen in
-  let d1 = Array.map (Two_copy.d1_lit tc) chosen in
-  let d2 = Array.map (Two_copy.d2_lit tc) chosen in
-  let cert_budget = if budget > 0 then 10 * budget else 0 in
-  let calls0 = Two_copy.solver_calls tc in
-  Telemetry.Counter.incr tc_encodes_saved;
-  (* Everything this compute needs (copies, divisors, cube group) is
-     already encoded by the session's [retarget]; no new CNF appears, so
-     the session.vars/clauses counters record the saving implicitly. *)
-  let index_of = index_table d2 in
-  {
-    op_solve =
-      (fun assumptions ->
-        Two_copy.set_budget tc budget;
-        match Sat.Simplify.solve ~assumptions (Two_copy.simp tc) with
-        | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
-        | r -> r);
-    op_onset = Two_copy.session_onset_assumptions tc;
-    op_offset = Two_copy.session_offset_assumptions tc;
-    op_point = (fun i -> Sat.Simplify.value (Two_copy.simp tc) d1.(i));
-    op_cand = (fun i phase -> Sat.Lit.apply_sign d2.(i) (not phase));
-    op_index = index_of;
-    op_block =
-      (fun lits ->
-        (* Mirror the block on both copies: the cube is offset-free, so
-           removing it from either copy's space removes no needed point,
-           and the copy-2 mirror keeps prime minimization pruned exactly
-           like the legacy single-copy solver. *)
-        let clause d = List.map (fun (i, phase) -> Sat.Lit.neg (Sat.Lit.apply_sign d.(i) (not phase))) lits in
-        Two_copy.session_block_cube tc (clause d1);
-        Two_copy.session_block_cube tc (clause d2));
-    op_certify =
-      (fun site assumptions ->
-        ignore (Two_copy.certify_unsat_exact ~budget:cert_budget tc site assumptions));
-    op_calls = (fun () -> Two_copy.solver_calls tc - calls0);
-  }
-
-let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 0.0)
-    ?(synth = Patch.default_synth_opts) ?session (miter : Miter.t) ~m_i ~target ~chosen =
-  let stop_at = Deadline.after deadline in
-  let divisors = Array.of_list (List.map (fun i -> miter.Miter.divisors.(i)) chosen) in
-  let support =
-    Array.to_list (Array.map (fun d -> (d.Miter.div_name, d.Miter.div_cost)) divisors)
+  (* The miter fires under n = 0 (onset) or under n = 1 (offset). *)
+  let onset = [ m_sat; Sat.Lit.neg n_sat ] and offset = [ m_sat; n_sat ] in
+  (* The literal "chosen divisor [i] has value [phase]". *)
+  let div_lit i phase = Sat.Lit.apply_sign d_sat.(i) (not phase) in
+  let unsat assumptions =
+    if budget > 0 then Sat.Solver.set_budget solver budget;
+    match Sat.Simplify.solve ~assumptions simp with
+    | Sat.Solver.Unsat -> true
+    | Sat.Solver.Sat -> false
+    | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
   in
-  let k = Array.length divisors in
-  let ops =
-    match session with
-    | Some tc -> session_ops ~budget tc ~chosen
-    | None -> legacy_ops ~budget ~certify miter ~m_i ~target ~divisors
+  let certify_unsat site assumptions =
+    Option.iter
+      (fun log ->
+        ignore (Cert.record site (Cert.certify_unsat ~budget:cert_budget log ~assumptions)))
+      cert_log
   in
-  enumerate ~max_cubes ~stop_at ~synth ~k ~support ~target ops
+  let sat_calls () = Sat.Solver.n_solve_calls solver in
+  let cubes = ref [] in
+  let n_cubes = ref 0 in
+  let tautology = ref false in
+  let continue = ref true in
+  (* Abort paths (budget, cube cap, deadline) still represent real solver
+     effort: record the partial counts in the telemetry counters and hand
+     them to the caller, so structural-fallback rows report the SAT calls
+     that were actually made. *)
+  let give_up () =
+    Telemetry.Counter.incr tc_aborts;
+    Telemetry.Counter.add tc_cubes !n_cubes;
+    Telemetry.Counter.add tc_sat_calls (sat_calls ());
+    raise (Exhausted { partial_sat_calls = sat_calls (); partial_cubes = !n_cubes })
+  in
+  try
+    while !continue do
+      if !n_cubes > max_cubes then raise Min_assume.Budget_exhausted;
+      if Deadline.expired stop_at then raise Min_assume.Budget_exhausted;
+      if unsat onset then begin
+        (* Terminating verdict: the onset is covered — certify it. *)
+        certify_unsat "patch_fun.onset" onset;
+        continue := false
+      end
+      else begin
+        (* Divisor-space point of this onset witness. *)
+        let point = Array.init k (fun i -> Sat.Simplify.value simp d_sat.(i)) in
+        let cand = List.init k (fun i -> div_lit i point.(i)) in
+        (* The full cube must avoid the offset; otherwise the divisor set was
+           not sufficient. *)
+        if not (unsat (offset @ cand)) then
+          failwith "Patch_fun.compute: divisor subset is not a valid support";
+        (* Expand to a prime cube: minimal literal subset keeping the offset
+           side unsatisfiable. *)
+        let prime = Min_assume.minimize ~unsat ~base:offset cand in
+        (* The accepted prime's UNSAT core (offset-freeness) is what makes the
+           cube sound — certify it before committing the cube. *)
+        certify_unsat "patch_fun.prime" (offset @ prime);
+        incr n_cubes;
+        if prime = [] then begin
+          (* Empty cube: the offset is empty — the patch is constant 1. *)
+          tautology := true;
+          continue := false
+        end
+        else begin
+          (* Recover (divisor index, phase): a kept literal is cand_i, whose
+             phase in the cube is the model value of the divisor. *)
+          let lits = List.map (fun l -> let i = index_of l in (i, point.(i))) prime in
+          cubes := Twolevel.Cube.of_literals k lits :: !cubes;
+          (* Block the cube on the onset side (it is offset-free, so blocking
+             it globally removes no offset point). *)
+          Sat.Simplify.add_clause simp
+            (List.map (fun (i, phase) -> Sat.Lit.neg (div_lit i phase)) lits)
+        end
+      end
+    done;
+    let sop =
+      if !tautology then Twolevel.Sop.one k
+      else Twolevel.Sop.scc_minimize (Twolevel.Sop.create k (List.rev !cubes))
+    in
+    let expr = Twolevel.Factor.factor sop in
+    let raw_patch = Patch.of_expr ~sop ~target ~support expr in
+    (* Resynthesis happens after the certification-relevant work: the
+       improved circuit is BDD-verified against the SOP inside
+       [Patch.improve] and never substituted into the miter. *)
+    let patch = Patch.improve ~deadline:stop_at synth raw_patch in
+    Telemetry.Counter.incr tc_runs;
+    Telemetry.Counter.add tc_cubes !n_cubes;
+    Telemetry.Counter.add tc_sat_calls (sat_calls ());
+    { patch; raw_patch; cubes_enumerated = !n_cubes; sat_calls = sat_calls () }
+  with Min_assume.Budget_exhausted -> give_up ()

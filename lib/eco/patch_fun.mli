@@ -36,7 +36,6 @@ val compute :
   ?max_cubes:int ->
   ?deadline:float ->
   ?synth:Patch.synth_opts ->
-  ?session:Two_copy.t ->
   Miter.t ->
   m_i:Aig.lit ->
   target:string ->
@@ -57,13 +56,4 @@ val compute :
     With [~certify:true], every accepted prime's offset-UNSAT core and the
     terminating onset-UNSAT verdict are independently certified (see
     {!Cert}); outcomes land in the [cert.*] telemetry counters.  The
-    enumeration itself is unchanged.
-
-    With [?session] (a {!Two_copy.create_session} instance already
-    retargeted at [target]), no fresh solver or CNF encoding is built:
-    onset queries assume copy 1 of the session, offset/prime queries copy
-    2, and blocking cubes go to the session's retractable group (mirrored
-    on both copies), retracted at the next retarget.  [sat_calls] then
-    counts only the calls made by this compute.  Certification follows the
-    session's own [~certify] setting rather than the [certify] argument,
-    since the recorded clause log lives in the session. *)
+    enumeration itself is unchanged. *)

@@ -17,8 +17,8 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(deadline = 0.0) ?incumben
     if !iterations > max_iterations then raise Min_assume.Budget_exhausted;
     if Deadline.expired stop_at then raise Min_assume.Budget_exhausted;
     match
-      try Hitting_set.minimum ~weights !clauses
-      with Hitting_set.Node_limit -> raise Min_assume.Budget_exhausted
+      try Diff.Hitting_set.minimum ~weights !clauses
+      with Diff.Hitting_set.Node_limit -> raise Min_assume.Budget_exhausted
     with
     | None ->
       (* An empty refinement clause was recorded: no divisor subset can

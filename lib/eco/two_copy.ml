@@ -1,34 +1,5 @@
-(* Two modes share one record:
-
-   - [build] (legacy): a fresh solver per target, with the copy-output
-     constraints m1/m2 added as unit clauses — byte-identical to the
-     pre-session behaviour, and the default.
-   - [create_session] + [retarget]: one solver, one CNF encoding and one
-     AIG copy manager serve every target of a unit.  The divisor/selector
-     infrastructure is encoded once (divisor cones avoid every target's
-     TFO, so they are substitution-invariant); per-target copy outputs
-     m1/m2 become assumption literals instead of unit clauses, so
-     retargeting never re-encodes shared cone structure — the persistent
-     import maps plus AIG strashing make re-imports of unchanged cones
-     free, and [Aig.Cnf]'s node-to-variable memoisation gives fresh CNF
-     only to genuinely new nodes.  Patch_fun's blocking cubes go into a
-     retractable clause group ([Sat.Solver.group]) that [retarget]
-     retracts, so one target's enumeration cannot constrain the next. *)
-
-type session = {
-  ss_miter : Miter.t;
-  mgr2 : Aig.t;
-  env : Aig.Cnf.env;
-  mutable map1 : int array; (* copy-1 import map, grown as the miter grows *)
-  mutable map2 : int array;
-  mutable m1_sat : Sat.Lit.t; (* current target's copy outputs, as assumptions *)
-  mutable m2_sat : Sat.Lit.t;
-  mutable cube_group : Sat.Solver.group; (* current target's blocking cubes *)
-  mutable target : string option;
-  mutable retargets : int;
-}
-
-type kind = Single | Session of session
+(* A fresh solver per target, with the copy-output constraints m1/m2
+   added as unit clauses. *)
 
 type t = {
   solver : Sat.Solver.t;
@@ -39,27 +10,15 @@ type t = {
   divisors : Miter.divisor array;
   cert : Cert.log option; (* original clause set, when certifying *)
   sel_index : (int, int) Hashtbl.t; (* selector var -> divisor index *)
-  inprocess : bool; (* run Simplify.inprocess after each retarget *)
-  kind : kind;
 }
 
-(* Session telemetry: encoding effort of the SAT pipeline, counted in both
-   modes so --json sweeps can compare reuse on vs off directly.  "Encodes"
-   are fresh solver+CNF constructions; "saved" are constructions an
-   existing session absorbed. *)
+(* Encoding effort of the SAT pipeline: fresh solver+CNF constructions and
+   the variables and clauses they hold. *)
 let tc_encodes = Telemetry.Counter.make "session.solver_encodes"
-let tc_encodes_saved = Telemetry.Counter.make "session.encodes_saved"
-let tc_retargets = Telemetry.Counter.make "session.retargets"
 let tc_vars = Telemetry.Counter.make "session.vars_encoded"
 let tc_clauses = Telemetry.Counter.make "session.clauses_encoded"
-let tc_learned_carried = Telemetry.Counter.make "session.learned_carried"
 
-let count_encoded solver vars0 clauses0 =
-  Telemetry.Counter.add tc_vars (Sat.Solver.nvars solver - vars0);
-  Telemetry.Counter.add tc_clauses (Sat.Solver.nclauses solver - clauses0)
-
-(* Selector/divisor-equality encoding shared by both modes: one selector
-   variable per divisor, with clauses a -> (d1 = d2). *)
+(* One selector variable per divisor, with clauses a -> (d1 = d2). *)
 let init_selectors simp solver env d1_lits d2_lits divisors =
   let n = Array.length divisors in
   let sel = Array.make n (Sat.Lit.make 0) in
@@ -116,139 +75,9 @@ let build ?(certify = false) (miter : Miter.t) ~m_i ~target =
   Sat.Simplify.add_clause simp [ m2_sat ];
   let sel, d1, d2, sel_index = init_selectors simp solver env d1_lits d2_lits miter.Miter.divisors in
   Telemetry.Counter.incr tc_encodes;
-  count_encoded solver 0 0;
-  {
-    solver;
-    simp;
-    sel;
-    d1;
-    d2;
-    divisors = miter.Miter.divisors;
-    cert;
-    sel_index;
-    inprocess = false;
-    kind = Single;
-  }
-
-let create_session ?(certify = false) ?(inprocess = false) (miter : Miter.t) =
-  let src = miter.Miter.mgr in
-  let mgr2 = Aig.create () in
-  let div_lits = Array.to_list (Array.map (fun d -> d.Miter.div_lit) miter.Miter.divisors) in
-  let import_divisors () =
-    let map = Aig.fresh_map src in
-    List.iter (fun (_, l) -> map.(Aig.node_of l) <- Aig.add_input mgr2) miter.Miter.x_inputs;
-    (map, Array.of_list (Aig.import mgr2 src ~map div_lits))
-  in
-  let map1, d1_lits = import_divisors () in
-  let map2, d2_lits = import_divisors () in
-  let solver = Sat.Solver.create () in
-  (* Same opt-out rationale as [build]. *)
-  let simp = Sat.Simplify.create ~enabled:false solver in
-  let cert = if certify then Some (Cert.attach simp) else None in
-  let env = Aig.Cnf.create ~simp mgr2 solver in
-  let sel, d1, d2, sel_index = init_selectors simp solver env d1_lits d2_lits miter.Miter.divisors in
-  let session =
-    {
-      ss_miter = miter;
-      mgr2;
-      env;
-      map1;
-      map2;
-      (* Placeholders: [base_assumptions] refuses to serve a session that
-         was never retargeted, so these are unreachable. *)
-      m1_sat = Sat.Lit.make 0;
-      m2_sat = Sat.Lit.make 0;
-      cube_group = Sat.Simplify.new_group simp;
-      target = None;
-      retargets = -1; (* first retarget brings the count to 0 *)
-    }
-  in
-  Telemetry.Counter.incr tc_encodes;
-  count_encoded solver 0 0;
-  {
-    solver;
-    simp;
-    sel;
-    d1;
-    d2;
-    divisors = miter.Miter.divisors;
-    cert;
-    sel_index;
-    inprocess;
-    kind = Session session;
-  }
-
-let session_of t =
-  match t.kind with
-  | Session s -> s
-  | Single -> invalid_arg "Two_copy: not a session instance"
-
-let is_session t = match t.kind with Session _ -> true | Single -> false
-
-let retarget t ~m_i ~target =
-  let s = session_of t in
-  let src = s.ss_miter.Miter.mgr in
-  (* Substitution and quantification grow the source AIG between targets;
-     the persistent maps must cover the new nodes (old entries stay valid:
-     imported cones are immutable, and nodes depending on a previous
-     target's input cannot reappear in a later m_i — the substitution
-     rebuilt every node above it). *)
-  let grow map =
-    if Array.length map < Aig.num_nodes src then begin
-      let m' = Aig.fresh_map src in
-      Array.blit map 0 m' 0 (Array.length map);
-      m'
-    end
-    else map
-  in
-  s.map1 <- grow s.map1;
-  s.map2 <- grow s.map2;
-  let vars0 = Sat.Solver.nvars t.solver and clauses0 = Sat.Solver.nclauses t.solver in
-  if s.target <> None then
-    Telemetry.Counter.add tc_learned_carried
-      (Sat.Solver.n_learned t.solver - Sat.Solver.n_deleted t.solver);
-  let n_lit = Miter.target_lit s.ss_miter target in
-  let import map phase =
-    map.(Aig.node_of n_lit) <- (if phase then Aig.true_ else Aig.false_);
-    match Aig.import s.mgr2 src ~map [ m_i ] with [ m ] -> m | _ -> assert false
-  in
-  let m1 = import s.map1 false and m2 = import s.map2 true in
-  s.m1_sat <- Aig.Cnf.lit s.env m1;
-  s.m2_sat <- Aig.Cnf.lit s.env m2;
-  Sat.Simplify.freeze t.simp s.m1_sat;
-  Sat.Simplify.freeze t.simp s.m2_sat;
-  (* The previous target's blocking cubes must not constrain this one. *)
-  Sat.Simplify.retract_group t.simp s.cube_group;
-  s.cube_group <- Sat.Simplify.new_group t.simp;
-  s.target <- Some target;
-  s.retargets <- s.retargets + 1;
-  if s.retargets > 0 then begin
-    Telemetry.Counter.incr tc_retargets;
-    Telemetry.Counter.incr tc_encodes_saved
-  end;
-  count_encoded t.solver vars0 clauses0;
-  (* Inprocessing trigger: once per retarget onto a previously-used
-     database — the moment the retracted group's cubes become garbage and
-     the learnt set reflects a finished target.  The fresh first target
-     has nothing to clean. *)
-  (* Equivalent-literal substitution is deliberately off here: rewriting
-     clauses changes which selectors [analyze_final] reaches, so the
-     baseline method's support (and hence reported cost) can drift even
-     though every verdict stays correct.  The other techniques only
-     delete, shrink or add implied clauses, which measurably reduces
-     propagations and conflicts while leaving statuses and costs
-     identical (see EXPERIMENTS.md for the per-technique ablation). *)
-  if t.inprocess && s.retargets > 0 then Sat.Simplify.inprocess ~scc:false t.simp
-
-(* Constraints carried as assumptions rather than clauses: empty in legacy
-   mode (m1/m2 are unit clauses there), so every solve and certificate
-   below stays byte-identical without a session. *)
-let base_assumptions t =
-  match t.kind with
-  | Single -> []
-  | Session s ->
-    if s.target = None then invalid_arg "Two_copy: session solved before any retarget";
-    [ s.m1_sat; s.m2_sat; Sat.Solver.group_lit s.cube_group ]
+  Telemetry.Counter.add tc_vars (Sat.Solver.nvars solver);
+  Telemetry.Counter.add tc_clauses (Sat.Solver.nclauses solver);
+  { solver; simp; sel; d1; d2; divisors = miter.Miter.divisors; cert; sel_index }
 
 let n_divisors t = Array.length t.sel
 let selector t i = t.sel.(i)
@@ -261,7 +90,7 @@ let index_of_selector t l =
 
 let solve_with ?(budget = 0) t assumptions =
   if budget > 0 then Sat.Solver.set_budget t.solver budget else Sat.Solver.clear_budget t.solver;
-  Sat.Simplify.solve ~assumptions:(base_assumptions t @ assumptions) t.simp
+  Sat.Simplify.solve ~assumptions t.simp
 
 let unsat_with ?budget t assumptions =
   match solve_with ?budget t assumptions with
@@ -281,59 +110,19 @@ let model_divisor_mismatch t =
   done;
   !acc
 
-(* Session accessors for Patch_fun's onset/offset queries: copy 1 is the
-   n = 0 copy (onset side), copy 2 the n = 1 copy (offset side). *)
-
-let session_onset_assumptions t =
-  let s = session_of t in
-  [ s.m1_sat; Sat.Solver.group_lit s.cube_group ]
-
-let session_offset_assumptions t =
-  let s = session_of t in
-  [ s.m2_sat; Sat.Solver.group_lit s.cube_group ]
-
-let d1_lit t i = t.d1.(i)
-let d2_lit t i = t.d2.(i)
-
-let session_block_cube t lits = Sat.Simplify.add_clause_in_group t.simp (session_of t).cube_group lits
-
 (* Certification hooks: no-ops when built without [~certify] (the
    default), so call sites thread them unconditionally without changing
-   behaviour.  In session mode the copy-output constraints and the active
-   cube group ride along as assumptions, so certificates cover exactly
-   what the solver was asked. *)
+   behaviour. *)
 
 let certify_core ?budget t site assumptions =
   match t.cert with
   | None -> None
-  | Some log ->
-    Some
-      (Cert.record site
-         (Cert.certify_unsat ?budget log ~assumptions:(base_assumptions t @ assumptions)))
+  | Some log -> Some (Cert.record site (Cert.certify_unsat ?budget log ~assumptions))
 
 let certify_model t site =
   match t.cert with
   | None -> None
-  | Some log ->
-    Some
-      (Cert.record site
-         (Cert.certify_sat ~assumptions:(base_assumptions t) log
-            ~value:(Sat.Simplify.value t.simp)))
-
-(* Raw certificate hook for Patch_fun in session mode: the given
-   assumptions are certified as-is (the caller states the exact query,
-   including the group literal). *)
-let certify_unsat_exact ?budget t site assumptions =
-  match t.cert with
-  | None -> None
-  | Some log ->
-    Some (Cert.record site (Cert.certify_unsat ?budget log ~assumptions))
-
-let set_budget t budget =
-  if budget > 0 then Sat.Solver.set_budget t.solver budget
-  else Sat.Solver.clear_budget t.solver
-
-let simp t = t.simp
+  | Some log -> Some (Cert.record site (Cert.certify_sat log ~value:(Sat.Simplify.value t.simp)))
 
 let solver_calls t = Sat.Solver.n_solve_calls t.solver
 

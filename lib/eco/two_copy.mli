@@ -6,20 +6,8 @@
     with an auxiliary selector variable per candidate divisor: assuming a
     selector forces the divisor's two copies equal, making it a usable
     common variable.  Unsatisfiability under a selector subset means that
-    divisor subset suffices to express the patch.
-
-    Two construction modes share the type:
-
-    - {!build} is the legacy per-target instance: a fresh solver whose
-      copy-output constraints m1/m2 are unit clauses.
-    - {!create_session} + {!retarget} keep {e one} solver, CNF encoding
-      and copy manager alive across all targets of a unit.  m1/m2 become
-      assumption literals, so the same session answers both the two-copy
-      support query (assume m1 & m2 + selectors) and [Patch_fun]'s
-      one-copy onset/offset queries; blocking cubes live in a retractable
-      clause group that {!retarget} retracts.  Divisor cones avoid every
-      target's TFO, so their encoding is substitution-invariant and is
-      shared across targets. *)
+    divisor subset suffices to express the patch.  Every target gets a
+    fresh instance, as in the paper's one-target-at-a-time flow (§3.1). *)
 
 type t
 
@@ -30,24 +18,6 @@ val build : ?certify:bool -> Miter.t -> m_i:Aig.lit -> target:string -> t
     instance's original clause set is recorded so final verdicts can be
     certified ({!certify_core}, {!certify_model}); the search itself is
     unchanged. *)
-
-val create_session : ?certify:bool -> ?inprocess:bool -> Miter.t -> t
-(** Encodes the divisor copies and selectors only; {!retarget} must run
-    before the first solve (enforced with [Invalid_argument]).  With
-    [~inprocess:true], every retarget onto a previously-used database runs
-    one {!Sat.Simplify.inprocess} round — reclaiming the retracted cube
-    group's clauses and compacting the learnt set before the next target's
-    queries; combined with [~certify:true], the derived clauses are
-    recorded and checked alongside the original ones. *)
-
-val retarget : t -> m_i:Aig.lit -> target:string -> unit
-(** Points the session at a new target: imports the two copies of [m_i]
-    (incrementally — unchanged cone structure is shared via the persistent
-    import maps and AIG strashing), swaps the m1/m2 assumption literals,
-    and retracts the previous target's blocking-cube group.  Only valid on
-    a {!create_session} instance. *)
-
-val is_session : t -> bool
 
 val n_divisors : t -> int
 
@@ -63,8 +33,7 @@ val index_of_selector : t -> Sat.Lit.t -> int option
     scans. *)
 
 val solve_with : ?budget:int -> t -> Sat.Lit.t list -> Sat.Solver.result
-(** Solves under the given selector assumptions (plus, in session mode,
-    the m1/m2 copy-output and cube-group assumption literals). *)
+(** Solves under the given selector assumptions. *)
 
 val unsat_with : ?budget:int -> t -> Sat.Lit.t list -> bool
 (** [true] iff UNSAT under the assumptions.  Raises
@@ -72,40 +41,12 @@ val unsat_with : ?budget:int -> t -> Sat.Lit.t list -> bool
 
 val final_conflict : t -> Sat.Lit.t list
 (** After an UNSAT {!solve_with}: the selector subset in the final
-    conflict — the baseline ([analyze_final]-only) support computation.
-    Session-mode base assumptions are filtered out. *)
+    conflict — the baseline ([analyze_final]-only) support computation. *)
 
 val model_divisor_mismatch : t -> int list
 (** After a SAT {!solve_with}: indices of divisors whose two copies differ
     in the model — at least one of them must join any sufficient support
     (the SAT_prune refinement clause). *)
-
-(** {2 Session accessors for [Patch_fun]}
-
-    Copy 1 is the n = 0 copy (the onset side), copy 2 the n = 1 copy (the
-    offset side).  All raise [Invalid_argument] on a {!build} instance. *)
-
-val session_onset_assumptions : t -> Sat.Lit.t list
-(** [m1; group] — assume to ask "does the miter fire under n = 0?". *)
-
-val session_offset_assumptions : t -> Sat.Lit.t list
-(** [m2; group] — the offset base for cube sufficiency/prime queries. *)
-
-val d1_lit : t -> int -> Sat.Lit.t
-(** Copy-1 CNF literal of divisor [i] (onset models are read here). *)
-
-val d2_lit : t -> int -> Sat.Lit.t
-(** Copy-2 CNF literal of divisor [i] (offset queries assume these). *)
-
-val session_block_cube : t -> Sat.Lit.t list -> unit
-(** Adds a blocking clause to the current target's retractable group. *)
-
-val set_budget : t -> int -> unit
-(** Sets (positive) or clears (zero/negative) the conflict budget for the
-    next solver call — for callers driving the backend directly. *)
-
-val simp : t -> Sat.Simplify.t
-(** The session's simplifier front end (model reads during enumeration). *)
 
 (** {2 Certification} *)
 
@@ -113,24 +54,15 @@ val certify_core : ?budget:int -> t -> string -> Sat.Lit.t list -> Cert.verdict 
 (** [certify_core t site assumptions] independently certifies that the
     instance is UNSAT under [assumptions] (a claimed sufficient selector
     set or core) by re-derivation and proof replay, booked under telemetry
-    site [site].  Session-mode base assumptions (m1, m2, cube group) are
-    included automatically.  [None] when the instance was built without
+    site [site].  [None] when the instance was built without
     [~certify]. *)
 
 val certify_model : t -> string -> Cert.verdict option
 (** After a SAT {!solve_with}: certifies the model against the recorded
-    original clause set — in session mode the model must additionally
-    satisfy the m1/m2 assumption literals, which are not clauses there.
-    [None] when built without [~certify]. *)
-
-val certify_unsat_exact : ?budget:int -> t -> string -> Sat.Lit.t list -> Cert.verdict option
-(** Certifies UNSAT under exactly the given assumptions, with no implicit
-    base added — for session-mode [Patch_fun] queries that assume only one
-    copy. *)
+    original clause set.  [None] when built without [~certify]. *)
 
 val solver_calls : t -> int
-(** Cumulative completed solver calls.  Per-phase attribution in session
-    mode must difference this around the phase. *)
+(** Completed solver calls on this instance. *)
 
 val conflicts : t -> int
 (** Cumulative conflicts of the underlying solver (diagnostics). *)

@@ -16,7 +16,7 @@ let compute (inst : Instance.t) =
   List.iter (fun p -> Hashtbl.replace pi_set p ()) (impl_pis @ spec_pis);
   (* Deterministic PI order: the implementation's input declaration order,
      never either netlist's traversal order — discovery hands windowing
-     proposed (not planted) targets, and cache fingerprints and session
+     proposed (not planted) targets, and cache fingerprints and SAT
      encodings must not depend on how the proposal was found.  Both sides
      declare the same input set (Instance.make validates), so filtering
      the implementation's list covers the union. *)

@@ -19,15 +19,6 @@ let clause_lim = 20 (* max resolvent length accepted during elimination *)
 let occ_lim = 30 (* skip elimination when both polarities occur this often *)
 let probe_lim = 512 (* max probes per preprocessing run *)
 
-(* Inprocessing limits, per [inprocess] run.  Small fixed caps keep each
-   run cheap and deterministic; the next run picks up where density
-   remains. *)
-let inp_vivify_lim = 256 (* max learnt clauses vivified *)
-let inp_vivify_len = 32 (* max length of a vivified learnt *)
-let inp_probe_lim = 256 (* max failed-literal probes *)
-let inp_subsume_len = 12 (* max problem-clause length used for re-subsumption *)
-let inp_gauss_rows = 1024 (* max recovered XOR rows fed to elimination *)
-
 type sclause = {
   mutable lits : int array; (* sorted ascending, duplicate-free *)
   mutable sig_ : int; (* var-based Bloom signature, 63 bits *)
@@ -43,18 +34,6 @@ type elim_entry = {
   mutable undone : bool; (* reintroduced: skip during model extension *)
 }
 
-type subst_entry = {
-  sv : int; (* the substituted variable *)
-  repr : Lit.t; (* what the positive literal of [sv] was rewritten to *)
-  mutable sundone : bool; (* reintroduced: skip during model extension *)
-}
-
-(* Unified model-extension stack.  Both variable elimination and
-   equivalent-literal substitution remove a variable from the backend's
-   clauses; the stack replays newest entry first to extend a backend model
-   over the removed variables. *)
-type ext_entry = Elim of elim_entry | Subst of subst_entry
-
 type stats = {
   subsumed : int;
   strengthened : int;
@@ -62,22 +41,6 @@ type stats = {
   probe_failed : int;
   reintroduced : int;
   skipped_passes : int;
-}
-
-type inprocess_stats = {
-  runs : int;
-  gc_clauses : int;
-  vivified_clauses : int;
-  vivified_lits : int;
-  subsumed_learnts : int;
-  strengthened_learnts : int;
-  inp_probe_failed : int;
-  xor_rows : int;
-  gauss_units : int;
-  gauss_equivs : int;
-  substituted_vars : int;
-  resubstituted_vars : int;
-  derived_clauses : int;
 }
 
 type t = {
@@ -92,11 +55,7 @@ type t = {
   pending : int array Vec.t; (* added since the last simplify *)
   queue : sclause Vec.t; (* backward-subsumption worklist *)
   mutable qhead : int;
-  mutable ext_stack : ext_entry list; (* newest removal first *)
-  mutable subst : subst_entry option array; (* var -> its substitution record *)
-  mutable derived_tap : (Lit.t array -> unit) option;
-      (* observer of inprocessing-derived (implied) clauses *)
-  gauss_seen : (int list, unit) Hashtbl.t; (* clauses Gauss already emitted *)
+  mutable ext_stack : elim_entry list; (* model-extension stack, newest elimination first *)
   mutable preprocessed : bool; (* the heavy first pass has run *)
   mutable ext_model : bool array option; (* cached extended model *)
   mutable n_subsumed : int;
@@ -105,19 +64,6 @@ type t = {
   mutable n_probe_failed : int;
   mutable n_reintroduced : int;
   mutable n_skipped_passes : int;
-  mutable n_inp_runs : int;
-  mutable n_inp_gc : int;
-  mutable n_inp_viv_clauses : int;
-  mutable n_inp_viv_lits : int;
-  mutable n_inp_subsumed : int;
-  mutable n_inp_strengthened : int;
-  mutable n_inp_probe_failed : int;
-  mutable n_inp_xor_rows : int;
-  mutable n_inp_gauss_units : int;
-  mutable n_inp_gauss_equivs : int;
-  mutable n_inp_subst : int;
-  mutable n_inp_resubst : int;
-  mutable n_inp_derived : int;
 }
 
 let tc_runs = Telemetry.Counter.make "sat.simplify.runs"
@@ -126,23 +72,6 @@ let tc_strengthened = Telemetry.Counter.make "sat.simplify.strengthened"
 let tc_eliminated = Telemetry.Counter.make "sat.simplify.eliminated_vars"
 let tc_probe_failed = Telemetry.Counter.make "sat.simplify.probe_failures"
 let tc_reintroduced = Telemetry.Counter.make "sat.simplify.reintroduced_vars"
-
-(* [sat.inprocess.*] counters are bumped only inside [inprocess]; default
-   (inprocess-off) runs never touch them, so [Telemetry.diff] — which
-   omits zero deltas — keeps them out of existing counter baselines. *)
-let tc_inp_runs = Telemetry.Counter.make "sat.inprocess.runs"
-let tc_inp_gc = Telemetry.Counter.make "sat.inprocess.gc_clauses"
-let tc_inp_viv_clauses = Telemetry.Counter.make "sat.inprocess.vivified_clauses"
-let tc_inp_viv_lits = Telemetry.Counter.make "sat.inprocess.vivified_lits"
-let tc_inp_subsumed = Telemetry.Counter.make "sat.inprocess.subsumed_learnts"
-let tc_inp_strengthened = Telemetry.Counter.make "sat.inprocess.strengthened_learnts"
-let tc_inp_probe_failed = Telemetry.Counter.make "sat.inprocess.probe_failures"
-let tc_inp_xor_rows = Telemetry.Counter.make "sat.inprocess.xor_rows"
-let tc_inp_gauss_units = Telemetry.Counter.make "sat.inprocess.gauss_units"
-let tc_inp_gauss_equivs = Telemetry.Counter.make "sat.inprocess.gauss_equivs"
-let tc_inp_subst = Telemetry.Counter.make "sat.inprocess.substituted_vars"
-let tc_inp_resubst = Telemetry.Counter.make "sat.inprocess.resubstituted_vars"
-let tc_inp_derived = Telemetry.Counter.make "sat.inprocess.derived_clauses"
 
 let create ?enabled:(on = !enabled) solver =
   (* Proof logging and preprocessing are mutually exclusive: elimination
@@ -161,9 +90,6 @@ let create ?enabled:(on = !enabled) solver =
     queue = Vec.create ~dummy:dummy_sclause ();
     qhead = 0;
     ext_stack = [];
-    subst = Array.make 16 None;
-    derived_tap = None;
-    gauss_seen = Hashtbl.create 64;
     preprocessed = false;
     ext_model = None;
     n_subsumed = 0;
@@ -172,25 +98,11 @@ let create ?enabled:(on = !enabled) solver =
     n_probe_failed = 0;
     n_reintroduced = 0;
     n_skipped_passes = 0;
-    n_inp_runs = 0;
-    n_inp_gc = 0;
-    n_inp_viv_clauses = 0;
-    n_inp_viv_lits = 0;
-    n_inp_subsumed = 0;
-    n_inp_strengthened = 0;
-    n_inp_probe_failed = 0;
-    n_inp_xor_rows = 0;
-    n_inp_gauss_units = 0;
-    n_inp_gauss_equivs = 0;
-    n_inp_subst = 0;
-    n_inp_resubst = 0;
-    n_inp_derived = 0;
   }
 
 let solver t = t.solver
 let is_enabled t = t.on
 let set_tap t f = t.tap <- Some f
-let set_derived_tap t f = t.derived_tap <- Some f
 
 let stats t =
   {
@@ -201,32 +113,6 @@ let stats t =
     reintroduced = t.n_reintroduced;
     skipped_passes = t.n_skipped_passes;
   }
-
-let inprocess_stats t =
-  {
-    runs = t.n_inp_runs;
-    gc_clauses = t.n_inp_gc;
-    vivified_clauses = t.n_inp_viv_clauses;
-    vivified_lits = t.n_inp_viv_lits;
-    subsumed_learnts = t.n_inp_subsumed;
-    strengthened_learnts = t.n_inp_strengthened;
-    inp_probe_failed = t.n_inp_probe_failed;
-    xor_rows = t.n_inp_xor_rows;
-    gauss_units = t.n_inp_gauss_units;
-    gauss_equivs = t.n_inp_gauss_equivs;
-    substituted_vars = t.n_inp_subst;
-    resubstituted_vars = t.n_inp_resubst;
-    derived_clauses = t.n_inp_derived;
-  }
-
-(* Every inprocessing-derived clause — vivified learnts, strengthened
-   learnts, probe units, Gauss facts, substitution equivalences — is
-   implied by the original clause set and flows through this tap so a
-   certification layer can check it independently. *)
-let emit_derived t lits =
-  t.n_inp_derived <- t.n_inp_derived + 1;
-  Telemetry.Counter.incr tc_inp_derived;
-  match t.derived_tap with Some f -> f (Array.copy lits) | None -> ()
 
 let grow_vars t n =
   let old = Array.length t.frozen in
@@ -243,10 +129,7 @@ let grow_vars t n =
           if i < old then t.occ.(i) else Vec.create ~dummy:dummy_sclause ());
     let n_occ = Array.make m 0 in
     Array.blit t.n_occ 0 n_occ 0 old;
-    t.n_occ <- n_occ;
-    let subst = Array.make m None in
-    Array.blit t.subst 0 subst 0 (Array.length t.subst);
-    t.subst <- subst
+    t.n_occ <- n_occ
   end
 
 let is_frozen t v = v < Array.length t.frozen && t.frozen.(v)
@@ -254,10 +137,6 @@ let is_frozen t v = v < Array.length t.frozen && t.frozen.(v)
 let is_eliminated t v =
   v < Array.length t.elim
   && match t.elim.(v) with Some e -> not e.undone | None -> false
-
-let is_substituted t v =
-  v < Array.length t.subst
-  && match t.subst.(v) with Some e -> not e.sundone | None -> false
 
 let signature lits =
   Array.fold_left (fun s l -> s lor (1 lsl (Lit.var l mod 63))) 0 lits
@@ -454,7 +333,7 @@ let try_eliminate t v =
         List.iter (fun c -> kill_clause t c) (!pos @ !neg);
         let entry = { ev = v; saved; undone = false } in
         t.elim.(v) <- Some entry;
-        t.ext_stack <- Elim entry :: t.ext_stack;
+        t.ext_stack <- entry :: t.ext_stack;
         t.n_eliminated <- t.n_eliminated + 1;
         Telemetry.Counter.incr tc_eliminated;
         List.iter
@@ -498,8 +377,7 @@ let rec reintroduce t v =
         Array.iter
           (fun l ->
             let w = Lit.var l in
-            if is_eliminated t w then reintroduce t w;
-            if is_substituted t w then reintroduce_subst t w)
+            if is_eliminated t w then reintroduce t w)
           lits;
         let c = insert_clause t lits in
         if t.preprocessed then begin
@@ -509,34 +387,10 @@ let rec reintroduce t v =
       e.saved
   | _ -> ()
 
-(* Reintroduce a substituted variable: once a later clause, assumption, or
-   freeze mentions it again, the variable must be constrained in the
-   backend, so the defining equivalence [v <-> repr] returns as a pair of
-   binary clauses.  Those are implied by the original clause set (the
-   substitution was derived from it), so they are recorded as derived
-   clauses, not original ones. *)
-and reintroduce_subst t v =
-  match if v < Array.length t.subst then t.subst.(v) else None with
-  | Some e when not e.sundone ->
-    e.sundone <- true;
-    t.n_inp_resubst <- t.n_inp_resubst + 1;
-    Telemetry.Counter.incr tc_inp_resubst;
-    t.ext_model <- None;
-    let rv = Lit.var e.repr in
-    if is_eliminated t rv then reintroduce t rv;
-    if is_substituted t rv then reintroduce_subst t rv;
-    let a = [| Lit.make_neg e.sv; e.repr |] and b = [| Lit.make e.sv; Lit.neg e.repr |] in
-    emit_derived t a;
-    emit_derived t b;
-    Solver.add_clause_a t.solver a;
-    Solver.add_clause_a t.solver b
-  | _ -> ()
-
 let freeze_var t v =
   grow_vars t (v + 1);
   t.frozen.(v) <- true;
-  if is_eliminated t v then reintroduce t v;
-  if is_substituted t v then reintroduce_subst t v
+  if is_eliminated t v then reintroduce t v
 
 let freeze t l = freeze_var t (Lit.var l)
 let thaw_var t v = if v < Array.length t.frozen then t.frozen.(v) <- false
@@ -578,25 +432,19 @@ let probe t =
     incr v
   done
 
-(* A new clause may mention variables that elimination or substitution
-   removed from the backend; they must be live again before it lands. *)
+(* A new clause may mention variables that elimination removed from the
+   backend; they must be live again before it lands. *)
 let ensure_lits_live t lits =
-  Array.iter
-    (fun l ->
-      let v = Lit.var l in
-      if is_eliminated t v then reintroduce t v;
-      if is_substituted t v then reintroduce_subst t v)
-    lits
+  Array.iter (fun l -> if is_eliminated t (Lit.var l) then reintroduce t (Lit.var l)) lits
 
 let add_clause_a t lits =
   (* The tap sees the caller's literals before any preprocessing touches
      them — this is the "original clause set" a certification layer
      checks models against. *)
   (match t.tap with Some f -> f (Array.copy lits) | None -> ());
-  if not t.on then begin
-    ensure_lits_live t lits;
-    Solver.add_clause_a t.solver lits
-  end
+  (* A disabled simplifier never eliminates a variable, so its clauses go
+     straight to the backend. *)
+  if not t.on then Solver.add_clause_a t.solver lits
   else begin
     t.ext_model <- None;
     let lits = Array.copy lits in
@@ -619,21 +467,6 @@ let add_clause_a t lits =
 
 let add_clause t lits = add_clause_a t (Array.of_list lits)
 
-(* Retractable clause groups, routed through [add_clause] so the clause
-   tap records the group-tagged form (~a \/ C) and the retraction unit —
-   certification then replays exactly what the solver held.  The
-   activation variable is frozen on creation: it has no positive
-   occurrence, so unfrozen it would be eliminated with zero resolvents by
-   the first preprocessing pass, silently deleting the whole group. *)
-
-let new_group t =
-  let g = Solver.new_group t.solver in
-  freeze t (Solver.group_lit g);
-  g
-
-let add_clause_in_group t g lits = add_clause t (Lit.neg (Solver.group_lit g) :: lits)
-let retract_group t g = add_clause t [ Lit.neg (Solver.group_lit g) ]
-
 let simplify t =
   if t.on then begin
     grow_vars t (max 1 (Solver.nvars t.solver));
@@ -654,10 +487,9 @@ let simplify t =
          (MiniSAT SimpSolver semantics) — re-simplifying against an
          ever-growing database would be quadratic on clause-streaming
          workloads like cube enumeration.  Only the soundness obligation
-         remains: a clause over an eliminated or substituted variable
-         reintroduces it.  The skipped pass is counted so callers can see
-         that simplification did not run ([skipped_passes] in {!stats});
-         {!inprocess} is the between-solve maintenance path. *)
+         remains: a clause over an eliminated variable reintroduces it.
+         The skipped pass is counted so callers can see that
+         simplification did not run ([skipped_passes] in {!stats}). *)
       t.n_skipped_passes <- t.n_skipped_passes + 1;
       Vec.iter
         (fun lits ->
@@ -670,538 +502,15 @@ let simplify t =
 
 let solve ?(assumptions = []) t =
   (* Assumption variables must stay live: freeze them, which also
-     reintroduces any that elimination or substitution removed. *)
+     reintroduces any that elimination removed. *)
   List.iter (fun l -> freeze t l) assumptions;
   if t.on then simplify t;
   t.ext_model <- None;
   Solver.solve ~assumptions t.solver
 
-(* {2 Inprocessing}
-
-   Between-solve maintenance of a long-lived backend database.  All
-   techniques derive only implied clauses (or rewrite the database under
-   implied equivalences), so solver verdicts are preserved; every derived
-   clause flows through [emit_derived] for certification. *)
-
-let canon_sorted lits =
-  let a = Array.copy lits in
-  Array.sort Int.compare a;
-  a
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
-(* Re-subsumption of learnt clauses against short problem clauses: a
-   problem clause that subsumes a learnt deletes it; one self-subsuming
-   resolution step strengthens it.  Decisions are computed over a
-   snapshot, then applied through [Solver.filter_map_learnts] keyed by the
-   clause literals. *)
-let resubsume_learnts t =
-  let s = t.solver in
-  let nv = Solver.nvars s in
-  let acc = ref [] in
-  Solver.iter_clauses s ~learnt:true (fun lits -> acc := lits :: !acc);
-  let learnts = Array.of_list !acc in
-  let n = Array.length learnts in
-  if n > 0 then begin
-    let cur = Array.map canon_sorted learnts in
-    let sigs = Array.map signature cur in
-    let state = Array.make n `Keep in
-    let occ = Array.make (max 1 nv) [] in
-    let nocc = Array.make (max 1 nv) 0 in
-    Array.iteri
-      (fun i lits ->
-        Array.iter
-          (fun l ->
-            let v = Lit.var l in
-            occ.(v) <- i :: occ.(v);
-            nocc.(v) <- nocc.(v) + 1)
-          lits)
-      cur;
-    Solver.iter_clauses s ~learnt:false (fun plits ->
-        if Array.length plits > 0 && Array.length plits <= inp_subsume_len then begin
-          let c = canon_sorted plits in
-          let csig = signature c in
-          let best = ref (Lit.var c.(0)) in
-          Array.iter
-            (fun l ->
-              let v = Lit.var l in
-              if nocc.(v) < nocc.(!best) then best := v)
-            c;
-          List.iter
-            (fun i ->
-              if
-                state.(i) <> `Drop
-                && Array.length c <= Array.length cur.(i)
-                && csig land lnot sigs.(i) = 0
-              then
-                match sub_test c cur.(i) with
-                | `No -> ()
-                | `Sub ->
-                  state.(i) <- `Drop;
-                  t.n_inp_subsumed <- t.n_inp_subsumed + 1;
-                  Telemetry.Counter.incr tc_inp_subsumed
-                | `Str l ->
-                  let lits =
-                    Array.of_list
-                      (List.filter (fun x -> x <> l) (Array.to_list cur.(i)))
-                  in
-                  cur.(i) <- lits;
-                  sigs.(i) <- signature lits;
-                  state.(i) <- `Replace;
-                  t.n_inp_strengthened <- t.n_inp_strengthened + 1;
-                  Telemetry.Counter.incr tc_inp_strengthened;
-                  emit_derived t lits)
-            occ.(!best)
-        end);
-    let tbl = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun i lits ->
-        if state.(i) <> `Keep then
-          Hashtbl.replace tbl (Array.to_list (canon_sorted lits)) i)
-      learnts;
-    if Hashtbl.length tbl > 0 then
-      Solver.filter_map_learnts s (fun lits ->
-          match Hashtbl.find_opt tbl (Array.to_list (canon_sorted lits)) with
-          | None -> `Keep
-          | Some i -> (
-            match state.(i) with
-            | `Drop -> `Drop
-            | `Replace -> `Replace cur.(i)
-            | `Keep -> `Keep))
-  end
-
-let vivify_pass t =
-  let shrunk, removed =
-    Solver.vivify_learnts ~max_clauses:inp_vivify_lim ~max_len:inp_vivify_len
-      t.solver
-      ~on_derived:(fun lits -> emit_derived t lits)
-  in
-  t.n_inp_viv_clauses <- t.n_inp_viv_clauses + shrunk;
-  t.n_inp_viv_lits <- t.n_inp_viv_lits + removed;
-  Telemetry.Counter.add tc_inp_viv_clauses shrunk;
-  Telemetry.Counter.add tc_inp_viv_lits removed
-
-(* XOR recovery + GF(2) Gaussian elimination.  A clause over [k] distinct
-   variables excludes exactly one assignment (its negation mask); when a
-   variable set's clauses exclude every assignment of parity [q], the CNF
-   encodes the constraint XOR(vars) = 1 - q.  Rows of width 2..4 are
-   recovered, Gauss-Jordan reduced, and resulting units and equivalence
-   pairs are fed back as derived clauses (deduplicated across runs, and
-   against pairs the CNF already states). *)
-let xor_gauss t =
-  let s = t.solver in
-  let buckets = Hashtbl.create 64 in
-  Solver.iter_clauses s ~learnt:false (fun lits ->
-      let k = Array.length lits in
-      if k >= 2 && k <= 4 then begin
-        let sorted = canon_sorted lits in
-        let distinct = ref true in
-        for i = 0 to k - 2 do
-          if Lit.var sorted.(i) = Lit.var sorted.(i + 1) then distinct := false
-        done;
-        if !distinct then begin
-          let vars = Array.to_list (Array.map Lit.var sorted) in
-          let mask = ref 0 in
-          Array.iteri
-            (fun i l -> if Lit.is_neg l then mask := !mask lor (1 lsl i))
-            sorted;
-          let seen =
-            match Hashtbl.find_opt buckets vars with
-            | Some a -> a
-            | None ->
-              let a = [| 0; 0 |] in
-              Hashtbl.add buckets vars a;
-              a
-          in
-          let p = popcount !mask land 1 in
-          seen.(p) <- seen.(p) lor (1 lsl !mask)
-        end
-      end);
-  let rows = ref [] and nrows = ref 0 in
-  let input = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun vars seen ->
-      let k = List.length vars in
-      let need = 1 lsl (k - 1) in
-      for q = 0 to 1 do
-        if popcount seen.(q) = need && !nrows < inp_gauss_rows then begin
-          let rhs = 1 - q in
-          rows := (vars, rhs) :: !rows;
-          incr nrows;
-          Hashtbl.replace input (vars, rhs) ()
-        end
-      done)
-    buckets;
-  if !rows <> [] then begin
-    t.n_inp_xor_rows <- t.n_inp_xor_rows + !nrows;
-    Telemetry.Counter.add tc_inp_xor_rows !nrows;
-    let col_of = Hashtbl.create 64 and rcols = ref [] and ncols = ref 0 in
-    List.iter
-      (fun (vars, _) ->
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem col_of v) then begin
-              Hashtbl.add col_of v !ncols;
-              rcols := v :: !rcols;
-              incr ncols
-            end)
-          vars)
-      !rows;
-    let var_of = Array.of_list (List.rev !rcols) in
-    let words = (!ncols + 62) / 63 in
-    let lowest bits =
-      let res = ref (-1) and w = ref 0 in
-      while !res < 0 && !w < words do
-        if bits.(!w) <> 0 then begin
-          let b = ref 0 in
-          while bits.(!w) land (1 lsl !b) = 0 do
-            incr b
-          done;
-          res := (!w * 63) + !b
-        end;
-        incr w
-      done;
-      !res
-    in
-    let test_bit bits c = bits.(c / 63) land (1 lsl (c mod 63)) <> 0 in
-    let xor_into (dbits, drhs) (sbits, srhs) =
-      for i = 0 to words - 1 do
-        dbits.(i) <- dbits.(i) lxor sbits.(i)
-      done;
-      drhs := !drhs lxor !srhs
-    in
-    let pivots = Hashtbl.create 64 in
-    let contradiction = ref false in
-    List.iter
-      (fun (vars, rhs) ->
-        let bits = Array.make words 0 in
-        List.iter
-          (fun v ->
-            let c = Hashtbl.find col_of v in
-            bits.(c / 63) <- bits.(c / 63) lor (1 lsl (c mod 63)))
-          vars;
-        let row = (bits, ref rhs) in
-        let continue_ = ref true in
-        while !continue_ do
-          let c = lowest bits in
-          if c < 0 then begin
-            if !(snd row) = 1 then contradiction := true;
-            continue_ := false
-          end
-          else
-            match Hashtbl.find_opt pivots c with
-            | Some p -> xor_into row p
-            | None ->
-              Hashtbl.add pivots c row;
-              continue_ := false
-        done)
-      !rows;
-    (* Jordan step: clear each pivot column from every other pivot row so
-       short rows (units, pairs) become visible. *)
-    let pivot_cols =
-      List.sort (fun a b -> compare b a) (Hashtbl.fold (fun c _ acc -> c :: acc) pivots [])
-    in
-    List.iter
-      (fun c ->
-        let p = Hashtbl.find pivots c in
-        List.iter
-          (fun c' ->
-            if c' <> c then begin
-              let q = Hashtbl.find pivots c' in
-              if test_bit (fst q) c then xor_into q p
-            end)
-          pivot_cols)
-      pivot_cols;
-    let emit_clause ~unit lits =
-      let key = Array.to_list (canon_sorted lits) in
-      if not (Hashtbl.mem t.gauss_seen key) then begin
-        Hashtbl.add t.gauss_seen key ();
-        if unit then begin
-          t.n_inp_gauss_units <- t.n_inp_gauss_units + 1;
-          Telemetry.Counter.incr tc_inp_gauss_units
-        end
-        else begin
-          t.n_inp_gauss_equivs <- t.n_inp_gauss_equivs + 1;
-          Telemetry.Counter.incr tc_inp_gauss_equivs
-        end;
-        emit_derived t lits;
-        Solver.add_clause_a s lits
-      end
-    in
-    if !contradiction then begin
-      emit_derived t [||];
-      Solver.add_clause_a s [||]
-    end
-    else
-      Hashtbl.iter
-        (fun _ (bits, rhs) ->
-          let cnt = Array.fold_left (fun a w -> a + popcount w) 0 bits in
-          if cnt >= 1 && cnt <= 2 then begin
-            let vs = ref [] in
-            for c = !ncols - 1 downto 0 do
-              if test_bit bits c then vs := var_of.(c) :: !vs
-            done;
-            match List.sort compare !vs with
-            | [ v ] ->
-              emit_clause ~unit:true
-                [| (if !rhs = 1 then Lit.make v else Lit.make_neg v) |]
-            | [ v1; v2 ] ->
-              if not (Hashtbl.mem input ([ v1; v2 ], !rhs)) then
-                if !rhs = 1 then begin
-                  emit_clause ~unit:false [| Lit.make v1; Lit.make v2 |];
-                  emit_clause ~unit:false [| Lit.make_neg v1; Lit.make_neg v2 |]
-                end
-                else begin
-                  emit_clause ~unit:false [| Lit.make v1; Lit.make_neg v2 |];
-                  emit_clause ~unit:false [| Lit.make_neg v1; Lit.make v2 |]
-                end
-            | _ -> ()
-          end)
-        pivots
-  end
-
-(* Failed-literal probing over variables occurring in binary clauses
-   (problem and learnt): a failed probe asserts the negation at level 0,
-   recorded as a derived unit. *)
-let big_probe t =
-  let s = t.solver in
-  let nv = Solver.nvars s in
-  let in_bin = Array.make (max 1 nv) false in
-  let scan learnt =
-    Solver.iter_clauses s ~learnt (fun lits ->
-        if Array.length lits = 2 then
-          Array.iter (fun l -> in_bin.(Lit.var l) <- true) lits)
-  in
-  scan false;
-  scan true;
-  let probes = ref 0 in
-  let v = ref 0 in
-  while !v < nv && !probes < inp_probe_lim && Solver.okay s do
-    if
-      in_bin.(!v)
-      && Solver.root_value s (Lit.make !v) = 0
-      && (not (is_eliminated t !v))
-      && not (is_substituted t !v)
-    then begin
-      probes := !probes + 2;
-      if Solver.probe_lit s (Lit.make !v) then begin
-        t.n_inp_probe_failed <- t.n_inp_probe_failed + 1;
-        Telemetry.Counter.incr tc_inp_probe_failed;
-        emit_derived t [| Lit.make_neg !v |]
-      end
-      else if
-        Solver.okay s
-        && Solver.root_value s (Lit.make !v) = 0
-        && Solver.probe_lit s (Lit.make_neg !v)
-      then begin
-        t.n_inp_probe_failed <- t.n_inp_probe_failed + 1;
-        Telemetry.Counter.incr tc_inp_probe_failed;
-        emit_derived t [| Lit.make !v |]
-      end
-    end;
-    incr v
-  done
-
-(* Equivalent-literal substitution from strongly connected components of
-   the binary implication graph.  Frozen variables (assumption and group
-   activation literals) are never substitution targets — a retraction
-   unit over a vanished activation variable would be vacuous — but a
-   frozen literal is the preferred representative: substituting towards
-   it is sound and survives later retraction, since retraction only adds
-   a clause. *)
-let scc_substitute t =
-  let s = t.solver in
-  let nv = Solver.nvars s in
-  let nlits = 2 * nv in
-  let adj = Array.make (max 1 nlits) [] in
-  let scan learnt =
-    Solver.iter_clauses s ~learnt (fun lits ->
-        if Array.length lits = 2 then begin
-          let a = lits.(0) and b = lits.(1) in
-          adj.(Lit.neg a) <- b :: adj.(Lit.neg a);
-          adj.(Lit.neg b) <- a :: adj.(Lit.neg b)
-        end)
-  in
-  scan false;
-  scan true;
-  (* Iterative Tarjan over the 2 * nvars literal nodes. *)
-  let index = Array.make (max 1 nlits) (-1) in
-  let lowlink = Array.make (max 1 nlits) 0 in
-  let onstack = Array.make (max 1 nlits) false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comps = ref [] in
-  let dfs root =
-    index.(root) <- !counter;
-    lowlink.(root) <- !counter;
-    incr counter;
-    stack := root :: !stack;
-    onstack.(root) <- true;
-    let call = ref [ (root, adj.(root)) ] in
-    while !call <> [] do
-      match !call with
-      | [] -> ()
-      | (v, edges) :: rest -> (
-        match edges with
-        | w :: tl ->
-          call := (v, tl) :: rest;
-          if index.(w) < 0 then begin
-            index.(w) <- !counter;
-            lowlink.(w) <- !counter;
-            incr counter;
-            stack := w :: !stack;
-            onstack.(w) <- true;
-            call := (w, adj.(w)) :: !call
-          end
-          else if onstack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-        | [] ->
-          call := rest;
-          (match rest with
-          | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(v)
-          | [] -> ());
-          if lowlink.(v) = index.(v) then begin
-            let comp = ref [] in
-            let brk = ref false in
-            while not !brk do
-              match !stack with
-              | w :: tl ->
-                stack := tl;
-                onstack.(w) <- false;
-                comp := w :: !comp;
-                if w = v then brk := true
-              | [] -> brk := true
-            done;
-            if List.length !comp > 1 then comps := !comp :: !comps
-          end)
-    done
-  in
-  for l = 0 to nlits - 1 do
-    if index.(l) < 0 then dfs l
-  done;
-  let done_var = Array.make (max 1 nv) false in
-  let map = Array.init (max 1 nv) Lit.make in
-  let changed = ref false in
-  let member = Array.make (max 1 nlits) false in
-  List.iter
-    (fun comp ->
-      List.iter (fun l -> member.(l) <- true) comp;
-      let complement = List.exists (fun l -> member.(Lit.neg l)) comp in
-      let fresh = List.for_all (fun l -> not done_var.(Lit.var l)) comp in
-      if complement then begin
-        (* l and ~l equivalent: the clause set is unsatisfiable. *)
-        if Solver.okay s then begin
-          emit_derived t [||];
-          Solver.add_clause_a s [||]
-        end
-      end
-      else if fresh then begin
-        List.iter (fun l -> done_var.(Lit.var l) <- true) comp;
-        let assigned =
-          List.fold_left
-            (fun acc l ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                let v = Solver.root_value s l in
-                if v <> 0 then Some v else None)
-            None comp
-        in
-        match assigned with
-        | Some sign ->
-          (* One member is decided at the root, so all are: emit the
-             implied units instead of substituting. *)
-          List.iter
-            (fun m ->
-              if Solver.root_value s m = 0 then begin
-                let u = if sign = 1 then m else Lit.neg m in
-                emit_derived t [| u |];
-                Solver.add_clause_a s [| u |]
-              end)
-            comp
-        | None ->
-          let min_var a b = if Lit.var b < Lit.var a then b else a in
-          let repr =
-            match List.filter (fun l -> is_frozen t (Lit.var l)) comp with
-            | r :: _ as frz -> List.fold_left min_var r frz
-            | [] -> List.fold_left min_var (List.hd comp) comp
-          in
-          let rv = Lit.var repr in
-          List.iter
-            (fun m ->
-              let vm = Lit.var m in
-              if
-                vm <> rv
-                && (not (is_frozen t vm))
-                && (not (is_eliminated t vm))
-                && not (is_substituted t vm)
-              then begin
-                let target = if Lit.is_pos m then repr else Lit.neg repr in
-                let e = { sv = vm; repr = target; sundone = false } in
-                t.subst.(vm) <- Some e;
-                t.ext_stack <- Subst e :: t.ext_stack;
-                map.(vm) <- target;
-                changed := true;
-                t.n_inp_subst <- t.n_inp_subst + 1;
-                Telemetry.Counter.incr tc_inp_subst;
-                emit_derived t [| Lit.make_neg vm; target |];
-                emit_derived t [| Lit.make vm; Lit.neg target |]
-              end)
-            comp
-      end;
-      List.iter (fun l -> member.(l) <- false) comp)
-    !comps;
-  if !changed then begin
-    t.ext_model <- None;
-    let gc =
-      Solver.substitute_lits s (fun v ->
-          if v < Array.length map then map.(v) else Lit.make v)
-    in
-    t.n_inp_gc <- t.n_inp_gc + gc;
-    Telemetry.Counter.add tc_inp_gc gc
-  end
-
-let inprocess ?(vivify = true) ?(subsume = true) ?(probe = true) ?(scc = true)
-    ?(gauss = true) t =
-  if Solver.proof t.solver <> None then
-    invalid_arg "Simplify.inprocess: proof logging is on";
-  if t.on then simplify t;
-  if Solver.okay t.solver then begin
-    grow_vars t (max 1 (Solver.nvars t.solver));
-    t.n_inp_runs <- t.n_inp_runs + 1;
-    Telemetry.Counter.incr tc_inp_runs;
-    t.ext_model <- None;
-    (* Garbage collection first: drop clauses satisfied at level 0 (e.g.
-       those of retracted groups) so later passes scan a smaller DB. *)
-    let gc = Solver.substitute_lits t.solver Lit.make in
-    t.n_inp_gc <- t.n_inp_gc + gc;
-    Telemetry.Counter.add tc_inp_gc gc;
-    if subsume && Solver.okay t.solver then resubsume_learnts t;
-    if vivify && Solver.okay t.solver then vivify_pass t;
-    if gauss && Solver.okay t.solver then xor_gauss t;
-    if probe && Solver.okay t.solver then big_probe t;
-    if scc && Solver.okay t.solver then scc_substitute t;
-    t.ext_model <- None
-  end
-
-(* Test-only fault injection: forget a substitution without restoring the
-   defining equivalence.  Model extension then leaves [v] at the backend's
-   (unconstrained) value, so a model read after [Sat] can violate the
-   original clauses — certification must catch exactly this. *)
-let drop_substitution t v =
-  if is_substituted t v then begin
-    (match t.subst.(v) with Some e -> e.sundone <- true | None -> ());
-    t.ext_model <- None;
-    true
-  end
-  else false
-
-(* Extend the backend model over the removed variables, newest removal
-   first.  An eliminated variable is flipped exactly when one of its saved
-   clauses is satisfied by no other literal; a substituted variable takes
-   the current value of its representative (which later — i.e. earlier in
-   the stack — removals may themselves have set). *)
+(* Extend the backend model over the eliminated variables, newest
+   elimination first: an eliminated variable is flipped exactly when one
+   of its saved clauses is satisfied by no other literal. *)
 let extended_model t =
   match t.ext_model with
   | Some m -> m
@@ -1214,33 +523,20 @@ let extended_model t =
       if Lit.is_neg l then not m.(v) else m.(v)
     in
     List.iter
-      (fun entry ->
-        match entry with
-        | Elim e ->
-          if not e.undone then
-            List.iter
-              (fun lits ->
-                let sat_other =
-                  Array.exists (fun l -> Lit.var l <> e.ev && lit_true l) lits
-                in
-                if not sat_other then
-                  Array.iter
-                    (fun l -> if Lit.var l = e.ev then m.(e.ev) <- Lit.is_pos l)
-                    lits)
-              e.saved
-        | Subst e -> if not e.sundone then m.(e.sv) <- lit_true e.repr)
+      (fun e ->
+        if not e.undone then
+          List.iter
+            (fun lits ->
+              let sat_other = Array.exists (fun l -> Lit.var l <> e.ev && lit_true l) lits in
+              if not sat_other then
+                Array.iter (fun l -> if Lit.var l = e.ev then m.(e.ev) <- Lit.is_pos l) lits)
+            e.saved)
       t.ext_stack;
     t.ext_model <- Some m;
     m
 
-(* Substitution can run on a disabled ([on = false]) simplifier — the
-   long-lived session configuration — so model access must route through
-   the extension stack whenever it is non-empty, not only when
-   preprocessing is on. *)
-let needs_extension t = t.on || t.ext_stack <> []
-
 let value t l =
-  if not (needs_extension t) then Solver.value t.solver l
+  if not t.on then Solver.value t.solver l
   else begin
     let m = extended_model t in
     let v = Lit.var l in
@@ -1248,13 +544,10 @@ let value t l =
     if Lit.is_neg l then not m.(v) else m.(v)
   end
 
-let model t =
-  if not (needs_extension t) then Solver.model t.solver
-  else Array.copy (extended_model t)
+let model t = if not t.on then Solver.model t.solver else Array.copy (extended_model t)
 
 let pp_stats ppf t =
   Format.fprintf ppf
-    "subsumed=%d strengthened=%d eliminated=%d probe_failed=%d reintroduced=%d \
-     skipped_passes=%d inprocess_runs=%d"
+    "subsumed=%d strengthened=%d eliminated=%d probe_failed=%d reintroduced=%d skipped_passes=%d"
     t.n_subsumed t.n_strengthened t.n_eliminated t.n_probe_failed t.n_reintroduced
-    t.n_skipped_passes t.n_inp_runs
+    t.n_skipped_passes

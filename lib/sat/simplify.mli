@@ -23,21 +23,17 @@
     depends on freezing; only the quality of the caller's model reads
     does.
 
-    {b Model-extension stack.}  Each variable removal — elimination here,
-    or equivalent-literal substitution in {!inprocess} — pushes an entry
+    {b Model-extension stack.}  Each variable elimination pushes an entry
     onto a stack.  After a satisfiable answer, {!value} and {!model}
     replay that stack newest-first, assigning each eliminated variable so
-    all its saved clauses are satisfied and each substituted variable from
-    its representative — so callers see total models over the original
-    CNF, not the rewritten one.
+    all its saved clauses are satisfied — so callers see total models over
+    the original CNF, not the rewritten one.
 
     {b Repeated calls.}  Only the first {!simplify} (usually via the first
     {!solve}) runs the preprocessing pipeline.  Every later call is a
     pass-through that only flushes buffered clauses to the backend; it is
     counted in [skipped_passes] of {!stats} so callers are not misled by
-    otherwise success-shaped results.  Between-solve database maintenance
-    is the separate, explicit {!inprocess} entry point, which also works
-    on disabled ([enabled:false]) instances.
+    otherwise success-shaped results.
 
     A simplifier created over a proof-logging solver (or with the global
     {!enabled} toggle off) degrades to a transparent pass-through:
@@ -83,22 +79,6 @@ val freeze : t -> Lit.t -> unit
 (** [freeze t l] protects [l]'s variable from elimination (see the
     frozen-variable contract above). *)
 
-val new_group : t -> Solver.group
-(** Allocates a retractable clause group (see {!Solver.new_group}) and
-    freezes its activation variable — mandatory here: the activation
-    literal has no positive occurrence, so an unfrozen activation variable
-    would be eliminated with zero resolvents by the first preprocessing
-    pass, silently deleting the whole group. *)
-
-val add_clause_in_group : t -> Solver.group -> Lit.t list -> unit
-(** Adds a clause active only while {!Solver.group_lit} is assumed.  The
-    clause is routed through {!add_clause}, so the tap (and hence the
-    certification layer) records the group-tagged form [~a \/ C]. *)
-
-val retract_group : t -> Solver.group -> unit
-(** Permanently disables the group (adds the unit negated activation
-    literal through {!add_clause}, so taps record the retraction too). *)
-
 val freeze_var : t -> int -> unit
 (** Variable-index variant of {!freeze}.  Reintroduces the variable's
     clauses if it was already eliminated. *)
@@ -112,19 +92,14 @@ val is_eliminated : t -> int -> bool
 (** Whether the variable is currently eliminated (its clauses replaced by
     resolvents, its model value reconstructed by extension). *)
 
-val is_substituted : t -> int -> bool
-(** Whether the variable is currently substituted by an equivalent literal
-    (see {!inprocess}): it no longer occurs in the backend's clauses and
-    its model value is reconstructed from its representative. *)
-
 val simplify : t -> unit
 (** Flushes pending clauses to the backend: the full preprocessing
     pipeline runs on the first call; every later call is a pass-through
-    that only flushes pending clauses (reintroducing any eliminated or
-    substituted variable they mention) and increments [skipped_passes] in
-    {!stats} — it performs {e no} simplification.  Called implicitly by
-    {!solve}; explicit calls are only needed to observe {!stats} without
-    solving.  Use {!inprocess} for between-solve maintenance. *)
+    that only flushes pending clauses (reintroducing any eliminated
+    variable they mention) and increments [skipped_passes] in {!stats} —
+    it performs {e no} simplification.  Called implicitly by {!solve};
+    explicit calls are only needed to observe {!stats} without
+    solving. *)
 
 val solve : ?assumptions:Lit.t list -> t -> Solver.result
 (** Freezes the assumption variables, runs {!simplify}, and decides the
@@ -142,63 +117,6 @@ val value : t -> Lit.t -> bool
 val model : t -> bool array
 (** Full extended model after [Sat], indexed by variable. *)
 
-(** {2 Inprocessing}
-
-    {!inprocess} performs between-solve maintenance of a long-lived
-    backend database — the long-lived-session complement to the one-shot
-    preprocessing pass.  It runs (in order): a garbage-collection sweep
-    that drops clauses satisfied at level 0 (in particular every clause of
-    a retracted group), re-subsumption and self-subsuming strengthening of
-    learnt clauses against short problem clauses, clause vivification of
-    learnt clauses, XOR constraint recovery with GF(2) Gaussian
-    elimination, failed-literal probing over the binary implication
-    graph, and SCC-based equivalent-literal substitution.
-
-    Every technique only derives implied clauses or rewrites the database
-    under implied equivalences, so solver verdicts (including under
-    assumptions) are unchanged.  Each derived clause is reported to the
-    {!set_derived_tap} observer for independent certification.
-
-    {b Group safety.}  Frozen variables — assumptions and group activation
-    variables — are never substitution targets, so a retraction unit keeps
-    its meaning after any number of [inprocess] runs; a frozen literal may
-    serve as a representative (substituting {e towards} it is sound, and
-    survives retraction because retraction only adds a clause).  Clauses
-    of already-retracted groups are reclaimed by the GC sweep.
-
-    Unlike preprocessing, inprocessing also runs on [enabled:false]
-    instances (the long-lived session configuration); it is unavailable on
-    proof-logging solvers. *)
-
-val inprocess :
-  ?vivify:bool ->
-  ?subsume:bool ->
-  ?probe:bool ->
-  ?scc:bool ->
-  ?gauss:bool ->
-  t ->
-  unit
-(** Runs one inprocessing round over the backend (flushing pending
-    clauses first).  The optional flags disable individual techniques for
-    ablation; all default to [true].  Raises [Invalid_argument] on a
-    proof-logging solver. *)
-
-val set_derived_tap : t -> (Lit.t array -> unit) -> unit
-(** Installs an observer invoked with (a private copy of) every
-    inprocessing-derived clause: vivified or strengthened learnt clauses,
-    probe and Gauss units, equivalence binaries backing substitutions.
-    Derived clauses are implied by the original clause set — a
-    certification layer may check them against models, but must {e not}
-    treat them as axioms when replaying an unsatisfiability verdict. *)
-
-val drop_substitution : t -> int -> bool
-(** Test-only fault injection: forgets the substitution record of a
-    variable {e without} restoring its defining equivalence, leaving the
-    extension stack inconsistent with the clause set.  Returns [false] if
-    the variable was not substituted.  Exists so certification tests can
-    prove that a lost substitution is detected; never call it in
-    production code. *)
-
 type stats = {
   subsumed : int;  (** clauses deleted by backward/forward subsumption *)
   strengthened : int;  (** literals removed by self-subsuming resolution *)
@@ -213,25 +131,5 @@ val stats : t -> stats
 (** Per-instance counters.  The same figures also accumulate process-wide
     in the [sat.simplify.*] {!Telemetry} counters ([skipped_passes] is
     instance-local only). *)
-
-type inprocess_stats = {
-  runs : int;  (** completed {!inprocess} rounds *)
-  gc_clauses : int;  (** clauses collected as satisfied at level 0 *)
-  vivified_clauses : int;  (** learnt clauses shrunk by vivification *)
-  vivified_lits : int;  (** literals removed by vivification *)
-  subsumed_learnts : int;  (** learnt clauses subsumed by problem clauses *)
-  strengthened_learnts : int;  (** learnt clauses strengthened by resolution *)
-  inp_probe_failed : int;  (** failed literals found by inprocess probing *)
-  xor_rows : int;  (** XOR constraints recovered from the CNF *)
-  gauss_units : int;  (** unit clauses derived by Gaussian elimination *)
-  gauss_equivs : int;  (** equivalence binaries derived by Gaussian elimination *)
-  substituted_vars : int;  (** variables removed by SCC substitution *)
-  resubstituted_vars : int;  (** substituted variables brought back by later use *)
-  derived_clauses : int;  (** clauses reported to the derived tap *)
-}
-
-val inprocess_stats : t -> inprocess_stats
-(** Per-instance inprocessing counters; also accumulated process-wide in
-    the [sat.inprocess.*] {!Telemetry} counters. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 type result = Sat | Unsat | Unknown
 
 type clause = {
-  mutable lits : int array;
+  lits : int array;
   mutable act : float;
   learnt : bool;
   mutable lbd : int;
@@ -637,21 +637,6 @@ let add_clause_a t lits =
 
 let add_clause t lits = add_clause_a t (Array.of_list lits)
 
-(* Retractable clause groups: a group is an activation literal [a]; a
-   clause C in the group is stored as (~a \/ C), so it only constrains
-   solves that assume [a].  Retraction adds the unit ~a, which makes every
-   group clause permanently satisfied — monotone, so learned clauses stay
-   sound.  Double retraction and additions after retraction are harmless:
-   the level-0 clause simplification in [add_clause_a] drops them as
-   satisfied. *)
-
-type group = Lit.t
-
-let new_group t = Lit.make (new_var t)
-let group_lit (g : group) : Lit.t = g
-let add_clause_in_group t (g : group) lits = add_clause t (Lit.neg g :: lits)
-let retract_group t (g : group) = add_clause t [ Lit.neg g ]
-
 let add_clause_part t part lits =
   match t.proof with
   | Some proof -> add_clause_proof t proof part (Array.of_list lits)
@@ -869,231 +854,6 @@ let probe_lit t l =
       end
       else false
     end
-  end
-
-(* {2 Inprocessing primitives}
-
-   Between-solve database maintenance for long-lived incremental sessions
-   (driven by [Simplify.inprocess]).  Every mutating primitive backtracks
-   to decision level 0 first — the only safe restart point: the trail
-   above level 0 belongs to an in-flight [solve], and level-0 assignments
-   are permanent — and is unavailable in proof mode, where rewriting
-   clauses without logging derivations would leave holes in the proof. *)
-
-let root_value t l = value_lit t l
-
-let iter_clauses t ~learnt f =
-  let vec = if learnt then t.learnts else t.clauses in
-  Vec.iter (fun c -> if not c.deleted then f (Array.copy c.lits)) vec
-
-let n_live_learnts t =
-  Vec.fold (fun acc c -> if c.deleted then acc else acc + 1) 0 t.learnts
-
-(* Root-level normalisation of a literal array: sort, deduplicate, detect
-   tautologies and root-satisfied clauses, drop root-false literals.
-   Mirrors the level-0 simplification of [add_clause_a]. *)
-let root_normalize t lits =
-  let lits = Array.copy lits in
-  Array.sort Int.compare lits;
-  let out = ref [] and sat = ref false in
-  Array.iter
-    (fun l ->
-      if not !sat then
-        match !out with
-        | x :: _ when x = l -> ()
-        | x :: _ when x land lnot 1 = l land lnot 1 -> sat := true
-        | _ -> (
-          match value_lit t l with
-          | 1 -> sat := true
-          | -1 -> ()
-          | _ -> out := l :: !out))
-    lits;
-  if !sat then `Satisfied else `Lits (Array.of_list (List.rev !out))
-
-let compact_learnts t =
-  let kept = Vec.create ~dummy:dummy_clause () in
-  Vec.iter (fun c -> if not c.deleted then Vec.push kept c) t.learnts;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) kept
-
-(* Attach a replacement learnt whose literals are root-normalized (all
-   unassigned at level 0).  A derived unit is enqueued at level 0; the
-   caller runs [propagate] afterwards. *)
-let attach_replacement t ~act ~lbd lits =
-  match Array.length lits with
-  | 0 -> t.ok <- false
-  | 1 -> if value_lit t lits.(0) = 0 then unchecked_enqueue t lits.(0) dummy_clause
-  | n ->
-    let c = { lits; act; learnt = true; lbd = min lbd n; deleted = false; pid = -1 } in
-    Vec.push t.learnts c;
-    watch_clause t c
-
-let filter_map_learnts t f =
-  if t.proof <> None then invalid_arg "Solver.filter_map_learnts: proof logging is on";
-  if t.ok then begin
-    cancel_until t 0;
-    (* Snapshot: replacements are appended to [t.learnts] after the scan. *)
-    let snapshot = Vec.to_array t.learnts in
-    let replacements = ref [] in
-    Array.iter
-      (fun c ->
-        if (not c.deleted) && not (locked t c) then
-          match f c.lits with
-          | `Keep -> ()
-          | `Drop ->
-            c.deleted <- true;
-            t.deleted_learnts <- t.deleted_learnts + 1
-          | `Replace lits ->
-            c.deleted <- true;
-            replacements := (c.act, c.lbd, lits) :: !replacements)
-      snapshot;
-    compact_learnts t;
-    List.iter
-      (fun (act, lbd, lits) ->
-        if t.ok then
-          match root_normalize t lits with
-          | `Satisfied -> ()
-          | `Lits lits -> attach_replacement t ~act ~lbd lits)
-      (List.rev !replacements);
-    if t.ok && propagate t != dummy_clause then t.ok <- false
-  end
-
-(* Clause vivification (distillation) of learnt clauses: assume the
-   negation of each literal in turn at throwaway decision levels.  A
-   literal already false under the accumulated assumptions is redundant
-   and dropped; a literal propagated true — or a conflict — proves the
-   prefix kept so far (plus the current literal) is itself implied, so the
-   tail is dropped.  Because [propagate] removes watchers of deleted
-   clauses lazily, a clause cannot be detached temporarily: the original
-   record is killed for good and a (possibly shrunk) replacement is
-   attached.  [on_derived] observes every strictly shrunk result. *)
-let vivify_learnts ?(max_clauses = max_int) ?(max_len = 32) t ~on_derived =
-  if t.proof <> None then invalid_arg "Solver.vivify_learnts: proof logging is on";
-  let shrunk = ref 0 and removed_lits = ref 0 in
-  if t.ok then begin
-    cancel_until t 0;
-    (* Newest learnts first: they reflect the current search region. *)
-    let cands = ref [] and n = ref 0 in
-    for i = Vec.size t.learnts - 1 downto 0 do
-      let c = Vec.get t.learnts i in
-      if
-        (not c.deleted) && (not (locked t c))
-        && Array.length c.lits <= max_len
-        && !n < max_clauses
-      then begin
-        cands := c :: !cands;
-        incr n
-      end
-    done;
-    List.iter
-      (fun c ->
-        if t.ok && (not c.deleted) && not (locked t c) then begin
-          c.deleted <- true;
-          let lits = c.lits in
-          let len = Array.length lits in
-          let kept = ref [] and klen = ref 0 in
-          let root_sat = ref false and stop = ref false in
-          let i = ref 0 in
-          while (not !stop) && (not !root_sat) && !i < len do
-            let l = lits.(!i) in
-            (match value_lit t l with
-            | 1 ->
-              if t.levels.(Lit.var l) = 0 then root_sat := true
-              else begin
-                (* Implied true by the assumed prefix: clause ends here. *)
-                kept := l :: !kept;
-                incr klen;
-                stop := true
-              end
-            | -1 -> () (* falsified by the prefix (or at root): redundant *)
-            | _ ->
-              new_decision_level t;
-              unchecked_enqueue t (Lit.neg l) dummy_clause;
-              kept := l :: !kept;
-              incr klen;
-              if propagate t != dummy_clause then stop := true);
-            incr i
-          done;
-          cancel_until t 0;
-          if !root_sat then t.deleted_learnts <- t.deleted_learnts + 1
-          else begin
-            let arr = Array.of_list (List.rev !kept) in
-            if Array.length arr < len then begin
-              incr shrunk;
-              removed_lits := !removed_lits + (len - Array.length arr);
-              on_derived (Array.copy arr)
-            end;
-            (match root_normalize t arr with
-            | `Satisfied -> ()
-            | `Lits lits -> attach_replacement t ~act:c.act ~lbd:c.lbd lits);
-            if t.ok && propagate t != dummy_clause then t.ok <- false
-          end
-        end)
-      (List.rev !cands);
-    compact_learnts t
-  end;
-  (!shrunk, !removed_lits)
-
-(* Equivalent-literal substitution: rewrite the whole database (problem
-   and learnt clauses) under a variable-to-representative-literal map and
-   rebuild every watch list from scratch.  Also the database GC pass: with
-   the identity map it removes root-satisfied clauses (e.g. those of
-   retracted groups) and strips root-false literals.  Returns the number
-   of clauses collected as satisfied. *)
-let substitute_lits t map =
-  if t.proof <> None then invalid_arg "Solver.substitute_lits: proof logging is on";
-  if not t.ok then 0
-  else begin
-    cancel_until t 0;
-    let gc = ref 0 in
-    let subst_lit l =
-      let r = map (Lit.var l) in
-      if Lit.is_neg l then Lit.neg r else r
-    in
-    Array.iter Vec.clear t.watches;
-    (* Level-0 reasons may reference records about to be dropped.  They are
-       never dereferenced in non-proof mode (analysis guards on level > 0),
-       but clearing them keeps dead records collectable and [locked]
-       honest. *)
-    Vec.iter (fun l -> t.reasons.(Lit.var l) <- dummy_clause) t.trail;
-    let units = ref [] in
-    let rebuild vec =
-      let kept = Vec.create ~dummy:dummy_clause () in
-      Vec.iter
-        (fun c ->
-          if not c.deleted then begin
-            let mapped = Array.map subst_lit c.lits in
-            match root_normalize t mapped with
-            | `Satisfied ->
-              incr gc;
-              c.deleted <- true
-            | `Lits [||] ->
-              t.ok <- false;
-              c.deleted <- true
-            | `Lits [| l |] ->
-              units := l :: !units;
-              c.deleted <- true
-            | `Lits arr ->
-              c.lits <- arr;
-              Vec.push kept c;
-              watch_clause t c
-          end)
-        vec;
-      Vec.clear vec;
-      Vec.iter (fun c -> Vec.push vec c) kept
-    in
-    rebuild t.clauses;
-    rebuild t.learnts;
-    List.iter
-      (fun l ->
-        if t.ok then
-          match value_lit t l with
-          | 0 -> unchecked_enqueue t l dummy_clause
-          | -1 -> t.ok <- false
-          | _ -> ())
-      (List.rev !units);
-    if t.ok && propagate t != dummy_clause then t.ok <- false;
-    !gc
   end
 
 let set_budget t n = t.budget <- (if n <= 0 then 0 else t.conflicts + n)

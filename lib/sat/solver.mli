@@ -53,34 +53,6 @@ val add_clause : t -> Lit.t list -> unit
 val add_clause_a : t -> Lit.t array -> unit
 (** Array variant of {!add_clause}; the array is not captured. *)
 
-(** {2 Retractable clause groups}
-
-    A group is an activation literal [a]: {!add_clause_in_group} stores a
-    clause [C] as [~a \/ C], so the clause only constrains [solve] calls
-    that carry [a] ({!group_lit}) among their assumptions.
-    {!retract_group} adds the unit [~a], permanently satisfying (and so
-    disabling) every clause of the group.  Retraction is monotone — it
-    only adds a clause — so learned clauses derived while the group was
-    active remain sound afterwards.  Retracting twice, or adding to a
-    retracted group, is harmless: the new clauses are dropped as satisfied
-    at level 0. *)
-
-type group
-
-val new_group : t -> group
-(** Allocates a fresh activation variable and returns the group. *)
-
-val group_lit : group -> Lit.t
-(** The positive activation literal; pass it in [solve]'s assumptions to
-    activate the group's clauses. *)
-
-val add_clause_in_group : t -> group -> Lit.t list -> unit
-(** Adds a clause that holds only while the group is assumed active. *)
-
-val retract_group : t -> group -> unit
-(** Permanently disables the group's clauses (adds the unit negated
-    activation literal). *)
-
 val okay : t -> bool
 (** [false] once the clause set is unsatisfiable without assumptions. *)
 
@@ -96,58 +68,6 @@ val probe_lit : t -> Lit.t -> bool
     Returns [false] (with no state change beyond backtracking to level 0)
     otherwise.  Raises [Invalid_argument] on a proof-logging solver: the
     asserted unit would have no logged derivation. *)
-
-(** {2 Inprocessing primitives}
-
-    Between-solve database maintenance, driven by {!Simplify.inprocess}.
-    Every mutating primitive first backtracks to decision level 0 — the
-    only safe restart point for rewriting the clause database — and
-    raises [Invalid_argument] on a proof-logging solver, where rewritten
-    clauses would have no logged derivation.  Clauses currently locked as
-    propagation reasons are left untouched. *)
-
-val root_value : t -> Lit.t -> int
-(** Current assignment of a literal: [1] true, [-1] false, [0] unassigned.
-    Only level-0 (permanent) assignments are visible between solves. *)
-
-val iter_clauses : t -> learnt:bool -> (Lit.t array -> unit) -> unit
-(** Iterates the live problem ([learnt:false]) or learnt ([learnt:true])
-    clauses, passing each literal array as a fresh copy. *)
-
-val n_live_learnts : t -> int
-(** Number of learnt clauses currently attached. *)
-
-val filter_map_learnts :
-  t -> (Lit.t array -> [ `Keep | `Drop | `Replace of Lit.t array ]) -> unit
-(** Rewrites the learnt database: each live, unlocked learnt clause is
-    kept, dropped, or replaced.  A replacement must be implied by the
-    clause database without the original clause (e.g. a strengthening);
-    it is normalized at level 0 and attached, with derived units enqueued
-    and propagated. *)
-
-val vivify_learnts :
-  ?max_clauses:int ->
-  ?max_len:int ->
-  t ->
-  on_derived:(Lit.t array -> unit) ->
-  int * int
-(** Clause vivification: re-derives each learnt clause by assuming the
-    negations of its literals at throwaway decision levels, dropping
-    literals the rest of the database already falsifies.  Scans up to
-    [max_clauses] newest learnts of length at most [max_len] (default 32).
-    [on_derived] observes every strictly shrunk clause (for certification
-    taps).  Returns [(clauses shrunk, literals removed)]. *)
-
-val substitute_lits : t -> (int -> Lit.t) -> int
-(** [substitute_lits t map] rewrites every clause (problem and learnt)
-    under the variable-to-representative map: variable [v]'s positive
-    literal becomes [map v], preserving polarity.  [map] must be a
-    self-inverse-free representative map proved equivalent at level 0
-    (e.g. from SCCs of the binary implication graph); [map v = Lit.make v]
-    leaves [v] alone.  All watch lists are rebuilt; clauses satisfied at
-    level 0 (including those of retracted groups) are collected, and the
-    count collected is returned.  With the identity map this is a pure
-    garbage-collection pass. *)
 
 val set_budget : t -> int -> unit
 (** Limits each subsequent [solve] call to the given number of conflicts;

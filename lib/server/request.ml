@@ -1,8 +1,6 @@
 type options = {
   method_ : Eco.Engine.method_;
   certify : bool;
-  reuse_sessions : bool;
-  inprocess : bool;
   structural : bool;
   verify : bool;
   budget : int;
@@ -17,8 +15,6 @@ let default_options =
   {
     method_ = Eco.Engine.Min_assume;
     certify = false;
-    reuse_sessions = false;
-    inprocess = false;
     structural = false;
     verify = true;
     budget = 0;
@@ -114,8 +110,6 @@ let parse_options obj =
   {
     method_;
     certify = get_bool obj "certify" ~default:false;
-    reuse_sessions = get_bool obj "reuse_sessions" ~default:false;
-    inprocess = get_bool obj "inprocess" ~default:false;
     structural = get_bool obj "structural" ~default:false;
     verify = get_bool obj "verify" ~default:true;
     budget;
@@ -243,8 +237,6 @@ let config_of_options o =
     {
       c with
       Eco.Engine.certify = o.certify;
-      reuse_sessions = o.reuse_sessions;
-      inprocess = o.inprocess;
       verify = o.verify;
       exact_synth = o.exact_synth;
       rewrite = o.rewrite;
@@ -337,8 +329,6 @@ let spec_to_json { source; options = o } =
     (source_fields
     @ [ ("method", Jsonx.Str (method_name o.method_)) ]
     @ flag "certify" o.certify
-    @ flag "reuse_sessions" o.reuse_sessions
-    @ flag "inprocess" o.inprocess
     @ flag "structural" o.structural
     @ (if o.verify then [] else [ ("verify", Jsonx.Bool false) ])
     @ (if o.budget > 0 then [ ("budget", Jsonx.Int o.budget) ] else [])

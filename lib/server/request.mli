@@ -13,8 +13,6 @@
 type options = {
   method_ : Eco.Engine.method_;
   certify : bool;
-  reuse_sessions : bool;
-  inprocess : bool;
   structural : bool;
       (** batch-style structural override: forces the structural path
           and trims the verification budget, exactly as [eco_cli batch]

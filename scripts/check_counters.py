@@ -20,8 +20,8 @@ Checked per row:
     baseline must be regenerated, so the gate fails with the name diff
     rather than comparing a renamed counter against 0.  Counters under
     the prefixes in INFO_PREFIXES are exempt: they only appear when the
-    matching mode flag is on (e.g. sat.inprocess.* under --inprocess),
-    so their presence tracks the run configuration rather than the
+    matching mode flag is on (e.g. synth.* under --exact-synth), so
+    their presence tracks the run configuration rather than the
     instrumentation, and they measure optimisation progress, not solver
     effort — they are never gated and never trip the name-set check.
 
@@ -58,14 +58,11 @@ STRICT_COUNTERS = [
 ]
 
 # Informational counter families: present only under the matching mode
-# flag (a sweep with --inprocess books sat.inprocess.*, one without books
-# nothing there), so a baseline and a fresh run may legitimately disagree
-# on their presence.  Ignored by the name-set check and never gated; the
-# inprocessing-equivalence CI step asserts their substance instead.  When
-# re-baselining with such a flag enabled, no special handling is needed —
-# these names are filtered on both sides.
+# flag or bench mode, so a baseline and a fresh run may legitimately
+# disagree on their presence.  Ignored by the name-set check and never
+# gated.  When re-baselining with such a flag enabled, no special handling
+# is needed — these names are filtered on both sides.
 INFO_PREFIXES = [
-    "sat.inprocess.",
     # The ECO service books its request/response traffic and cache hit
     # rates under these; they exist only when a sweep runs through a live
     # server (the serve-stress CI step) and measure service behaviour,

@@ -174,62 +174,6 @@ let test_cert_assumption_core () =
   | Cert.Certified -> Alcotest.fail "certified a non-core"
   | Cert.Check_failed _ -> ()
 
-let test_cert_group_session () =
-  (* Group-tagged clauses reach the tap in their activation-literal form
-     and retraction units are recorded too, so certification replays the
-     exact clause set the solver held: UNSAT under an active group
-     certifies with the activation literal in the assumption list, and
-     after retraction the recorded unit makes activation itself
-     refutable. *)
-  let solver, simp, log = session () in
-  ignore (Sat.Solver.new_vars solver 2);
-  Sat.Simplify.add_clause simp [ lit 0; lit 1 ];
-  let g = Sat.Simplify.new_group simp in
-  let gl = Sat.Solver.group_lit g in
-  Sat.Simplify.add_clause_in_group simp g [ nlit 0 ];
-  Sat.Simplify.add_clause_in_group simp g [ nlit 1 ];
-  (match Sat.Simplify.solve ~assumptions:[ gl ] simp with
-  | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "expected UNSAT under activation");
-  (match Cert.certify_unsat log ~assumptions:[ gl ] with
-  | Cert.Certified -> ()
-  | Cert.Check_failed r -> Alcotest.fail r);
-  (* Without the activation literal the set is satisfiable — a claimed
-     unconditional UNSAT must be refused. *)
-  (match Cert.certify_unsat log ~assumptions:[] with
-  | Cert.Certified -> Alcotest.fail "certified UNSAT without the activation literal"
-  | Cert.Check_failed _ -> ());
-  (* A SAT verdict with the group inactive certifies, with the disabled
-     activation carried as a (negated) assumption. *)
-  (match Sat.Simplify.solve ~assumptions:[ Sat.Lit.neg gl ] simp with
-  | Sat.Solver.Sat -> ()
-  | _ -> Alcotest.fail "expected SAT with group disabled");
-  (match Cert.certify_sat ~assumptions:[ Sat.Lit.neg gl ] log ~value:(Sat.Simplify.value simp) with
-  | Cert.Certified -> ()
-  | Cert.Check_failed r -> Alcotest.fail r);
-  (* Retraction is part of the recorded clause set: activating the dead
-     group is now unconditionally refutable. *)
-  Sat.Simplify.retract_group simp g;
-  match Cert.certify_unsat log ~assumptions:[ gl ] with
-  | Cert.Certified -> ()
-  | Cert.Check_failed r -> Alcotest.fail r
-
-let test_cert_sat_assumption_mismatch () =
-  (* certify_sat must refuse a model that falsifies a claimed assumption
-     even when every recorded clause is satisfied. *)
-  let solver, simp, log = session () in
-  ignore (Sat.Solver.new_vars solver 2);
-  Sat.Simplify.add_clause simp [ lit 0; lit 1 ];
-  (match Sat.Simplify.solve ~assumptions:[ lit 0 ] simp with
-  | Sat.Solver.Sat -> ()
-  | _ -> Alcotest.fail "expected SAT");
-  (match Cert.certify_sat ~assumptions:[ lit 0 ] log ~value:(Sat.Simplify.value simp) with
-  | Cert.Certified -> ()
-  | Cert.Check_failed r -> Alcotest.fail r);
-  match Cert.certify_sat ~assumptions:[ nlit 0 ] log ~value:(Sat.Simplify.value simp) with
-  | Cert.Certified -> Alcotest.fail "certified a model violating an assumption"
-  | Cert.Check_failed _ -> ()
-
 let test_cert_forged_unsat () =
   (* Claiming UNSAT on a satisfiable session: the re-derivation finds a
      model and the claim dies. *)
@@ -243,134 +187,6 @@ let test_cert_forged_unsat () =
 (* ---------- Mutation fuzz ---------- *)
 
 (* Random 3-CNF with [n] variables and [m] clauses. *)
-(* Mutation battery for the inprocessing-derived-clause surface: every
-   derived clause a real session emits must certify, and each way of
-   corrupting that surface — a forged derived clause, a substitution
-   dropped from the extension stack, derived clauses smuggled in as UNSAT
-   axioms — must be caught by the matching certifier. *)
-
-(* The long-lived session configuration ([Two_copy.create_session]):
-   preprocessing off, the clause database exactly as stated. *)
-let session_off () =
-  let solver = Sat.Solver.create () in
-  let simp = Sat.Simplify.create ~enabled:false solver in
-  let log = Cert.attach simp in
-  (solver, simp, log)
-
-let test_cert_derived_clauses () =
-  let solver, simp, log = session_off () in
-  ignore (Sat.Solver.new_vars solver 6);
-  (* capture every derived clause ourselves, forwarding to the cert log *)
-  let derived = ref [] in
-  Sat.Simplify.set_derived_tap simp (fun c ->
-      derived := Array.copy c :: !derived;
-      Cert.record_derived_clause log c);
-  (* an equivalence SCC (x0 <-> ~x1), an XOR gadget x2+x3+x4 = 1, filler *)
-  List.iter
-    (Sat.Simplify.add_clause simp)
-    [
-      [ nlit 0; nlit 1 ];
-      [ lit 0; lit 1 ];
-      [ lit 2; lit 3; lit 4 ];
-      [ lit 2; nlit 3; nlit 4 ];
-      [ nlit 2; lit 3; nlit 4 ];
-      [ nlit 2; nlit 3; lit 4 ];
-      [ lit 4; lit 5 ];
-    ];
-  (match Sat.Simplify.solve simp with Sat.Solver.Sat -> () | _ -> Alcotest.fail "expected SAT");
-  Sat.Simplify.inprocess simp;
-  Alcotest.(check bool) "inprocessing derived clauses" true (Cert.n_derived log > 0);
-  let st = Sat.Simplify.inprocess_stats simp in
-  Alcotest.(check bool)
-    "scc substituted a variable" true
-    (st.Sat.Simplify.substituted_vars > 0);
-  Alcotest.(check bool) "xor row recovered" true (st.Sat.Simplify.xor_rows > 0);
-  (* positive control: every clause the session actually derived is implied
-     by the original set and certifies against it *)
-  List.iter
-    (fun c ->
-      match Cert.certify_derived log c with
-      | Cert.Certified -> ()
-      | Cert.Check_failed r ->
-        Alcotest.failf "genuinely derived clause refused: %s" r)
-    !derived;
-  (* corruption: one polarity flip away from the derived equivalence half.
-     x0 <-> ~x1 admits (x0=T, x1=F), which falsifies (~x0 | x1), so the
-     corrupted clause is not implied and must be refused. *)
-  match Cert.certify_derived log [| nlit 0; lit 1 |] with
-  | Cert.Certified -> Alcotest.fail "corrupted derived clause certified"
-  | Cert.Check_failed _ -> ()
-
-let test_cert_forged_derived_clause () =
-  let solver, simp, log = session () in
-  ignore (Sat.Solver.new_vars solver 2);
-  Sat.Simplify.add_clause simp [ lit 0; lit 1 ];
-  (match Sat.Simplify.solve simp with Sat.Solver.Sat -> () | _ -> Alcotest.fail "expected SAT");
-  (* a genuinely implied clause certifies: (x0 | x1) itself, re-derived
-     from the originals alone *)
-  (match Cert.certify_derived log [| lit 0; lit 1 |] with
-  | Cert.Certified -> ()
-  | Cert.Check_failed r -> Alcotest.fail ("implied clause refused: " ^ r));
-  (* a forged "XOR-recovered" unit over an unconstrained variable is not
-     implied — (x0=F, x1=T) is a countermodel — and must be refused *)
-  Cert.record_derived_clause log [| lit 0 |];
-  match Cert.certify_derived log [| lit 0 |] with
-  | Cert.Certified -> Alcotest.fail "forged derived unit certified"
-  | Cert.Check_failed _ -> ()
-
-let test_cert_dropped_substitution () =
-  let solver, simp, log = session_off () in
-  ignore (Sat.Solver.new_vars solver 4);
-  (* x0 <-> ~x1 plus untouched filler; inprocess BEFORE solving so the SCC
-     pass substitutes x1 := ~x0 while both are root-unassigned *)
-  List.iter
-    (Sat.Simplify.add_clause simp)
-    [ [ nlit 0; nlit 1 ]; [ lit 0; lit 1 ]; [ lit 2; lit 3 ] ];
-  Sat.Simplify.inprocess simp;
-  Alcotest.(check bool) "x1 was substituted" true (Sat.Simplify.is_substituted simp 1);
-  let solve_with p =
-    match Sat.Simplify.solve ~assumptions:[ p ] simp with
-    | Sat.Solver.Sat -> ()
-    | _ -> Alcotest.fail "expected SAT"
-  in
-  (* honest runs: the extension stack reconstructs x1 = ~x0 from x0's
-     assumed value, for either polarity *)
-  List.iter
-    (fun p ->
-      solve_with p;
-      match Cert.certify_sat ~assumptions:[ p ] log ~value:(Sat.Simplify.value simp) with
-      | Cert.Certified -> ()
-      | Cert.Check_failed r -> Alcotest.fail ("honest extended model refused: " ^ r))
-    [ lit 0; nlit 0 ];
-  (* fault injection: forget the substitution without restoring the
-     equivalence.  x1 now reads back as the solver's raw value for a
-     variable no clause mentions — a free choice that cannot track
-     x1 = ~x0 for both assumed polarities of x0, so at least one run
-     violates a recorded equivalence clause and must be rejected. *)
-  Alcotest.(check bool) "drop found the record" true (Sat.Simplify.drop_substitution simp 1);
-  let rejected =
-    List.exists
-      (fun p ->
-        solve_with p;
-        match Cert.certify_sat ~assumptions:[ p ] log ~value:(Sat.Simplify.value simp) with
-        | Cert.Check_failed _ -> true
-        | Cert.Certified -> false)
-      [ lit 0; nlit 0 ]
-  in
-  Alcotest.(check bool) "dropped substitution detected" true rejected
-
-let test_cert_derived_not_unsat_leaves () =
-  let solver, simp, log = session () in
-  ignore (Sat.Solver.new_vars solver 2);
-  Sat.Simplify.add_clause simp [ lit 0; lit 1 ];
-  (* forge derived units that would, if admitted as axioms, make the set
-     look unsatisfiable *)
-  Cert.record_derived_clause log [| nlit 0 |];
-  Cert.record_derived_clause log [| nlit 1 |];
-  match Cert.certify_unsat log ~assumptions:[] with
-  | Cert.Certified -> Alcotest.fail "derived clauses laundered a wrong UNSAT"
-  | Cert.Check_failed _ -> ()
-
 let random_cnf rand n m =
   List.init m (fun _ ->
       let width = 1 + Random.State.int rand 3 in
@@ -571,16 +387,7 @@ let () =
           Alcotest.test_case "SAT session certifies" `Quick test_cert_sat_session;
           Alcotest.test_case "UNSAT session certifies" `Quick test_cert_unsat_session;
           Alcotest.test_case "assumption core certifies" `Quick test_cert_assumption_core;
-          Alcotest.test_case "clause groups certify" `Quick test_cert_group_session;
-          Alcotest.test_case "SAT assumption mismatch refused" `Quick test_cert_sat_assumption_mismatch;
           Alcotest.test_case "forged UNSAT refused" `Quick test_cert_forged_unsat;
-          Alcotest.test_case "derived clauses certify" `Quick test_cert_derived_clauses;
-          Alcotest.test_case "forged derived clause refused" `Quick
-            test_cert_forged_derived_clause;
-          Alcotest.test_case "dropped substitution detected" `Quick
-            test_cert_dropped_substitution;
-          Alcotest.test_case "derived clauses are not UNSAT leaves" `Quick
-            test_cert_derived_not_unsat_leaves;
         ] );
       ( "fuzz",
         [ fuzz_model_mutation; fuzz_forged_proof; fuzz_real_unsat_certifies; fuzz_corrupted_step ] );

@@ -451,117 +451,6 @@ let test_step_infeasible_falls_back () =
   Alcotest.(check (list string)) "both targets patched" [ "w1"; "w2" ]
     (List.sort compare (List.map (fun p -> p.Eco.Patch.target) o.Eco.Engine.patches))
 
-(* The same run with session reuse enabled must take the same route. *)
-let test_step_infeasible_falls_back_with_sessions () =
-  let impl =
-    Netlist.create
-      [
-        n "a" Netlist.Input [];
-        n "b" Netlist.Input [];
-        n "w1" Netlist.And [ "a"; "b" ];
-        n "w2" Netlist.Or [ "a"; "b" ];
-        n "y1" Netlist.Buf [ "w1" ];
-        n "y2" Netlist.Buf [ "w2" ];
-      ]
-      ~outputs:[ "y1"; "y2" ]
-  in
-  let spec =
-    Netlist.create
-      [
-        n "a" Netlist.Input [];
-        n "b" Netlist.Input [];
-        n "y1" Netlist.Not [ "a" ];
-        n "y2" Netlist.Xor [ "a"; "b" ];
-      ]
-      ~outputs:[ "y1"; "y2" ]
-  in
-  let weights = Hashtbl.create 4 in
-  let inst =
-    Eco.Instance.make ~name:"stepinf_s" ~impl ~spec ~targets:[ "w1"; "w2" ] ~weights ()
-  in
-  let window =
-    {
-      Eco.Window.window_pos = [ "y1"; "y2" ];
-      window_pis = [ "a"; "b" ];
-      divisors = [ ("a", 1) ];
-    }
-  in
-  let config =
-    { (Eco.Engine.config_of_method Eco.Engine.Min_assume) with Eco.Engine.reuse_sessions = true }
-  in
-  let o = Eco.Engine.solve ~config ~window inst in
-  check_solved_verified "step-infeasible fallback (sessions)" o;
-  Alcotest.(check bool) "used structural fallback" true o.Eco.Engine.used_structural
-
-(* Session reuse must not change what a run concludes: same status and a
-   verifying patch set, with the encode savings visible in the session.*
-   counters.  (Patch shapes and costs may differ — one shared solver walks
-   a different search trajectory than three fresh ones.) *)
-let session_reuse_agrees =
-  Test_util.qcheck ~count:15 "session reuse agrees with fresh instances"
-    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 3))
-    (fun (seed, n_targets) ->
-      let impl = Gen.Circuits.random_dag ~seed ~inputs:5 ~gates:30 ~outputs:3 () in
-      match
-        Gen.Mutate.make_instance ~name:"sess" ~style:(Gen.Mutate.New_cone 3)
-          ~dist:Netlist.Weights.T8 ~seed ~n_targets impl
-      with
-      | exception Failure _ -> true
-      | inst ->
-        let solve reuse =
-          Eco.Engine.solve
-            ~config:
-              { (Eco.Engine.config_of_method Eco.Engine.Min_assume) with
-                Eco.Engine.reuse_sessions = reuse
-              }
-            inst
-        in
-        let off = solve false and on_ = solve true in
-        let same_status =
-          match (off.Eco.Engine.status, on_.Eco.Engine.status) with
-          | Eco.Engine.Solved, Eco.Engine.Solved -> true
-          | Eco.Engine.Infeasible, Eco.Engine.Infeasible -> true
-          | Eco.Engine.Failed _, Eco.Engine.Failed _ -> true
-          | _ -> false
-        in
-        same_status
-        && (off.Eco.Engine.status <> Eco.Engine.Solved
-           || (off.Eco.Engine.verified = Some true && on_.Eco.Engine.verified = Some true)))
-
-let test_session_saves_encodes () =
-  (* A multi-target unit re-encodes the shared divisor cones per target
-     without sessions; with one session they are encoded once, and every
-     further query is served from it. *)
-  let impl = Gen.Circuits.ripple_adder 6 in
-  let inst =
-    Gen.Mutate.make_instance ~name:"sess_multi" ~style:(Gen.Mutate.New_cone 4)
-      ~dist:Netlist.Weights.T5 ~seed:99 ~n_targets:3 impl
-  in
-  let run reuse =
-    let before = Telemetry.snapshot () in
-    let o =
-      Eco.Engine.solve
-        ~config:
-          { (Eco.Engine.config_of_method Eco.Engine.Min_assume) with
-            Eco.Engine.reuse_sessions = reuse
-          }
-        inst
-    in
-    (o, Telemetry.diff before (Telemetry.snapshot ()))
-  in
-  let o_off, d_off = run false in
-  let o_on, d_on = run true in
-  check_solved_verified "sessions off" o_off;
-  check_solved_verified "sessions on" o_on;
-  let d delta name = try List.assoc name delta with Not_found -> 0 in
-  Alcotest.(check bool) "encodes saved" true (d d_on "session.encodes_saved" > 0);
-  Alcotest.(check bool) "retargets counted" true (d d_on "session.retargets" > 0);
-  let vc delta = d delta "session.vars_encoded" + d delta "session.clauses_encoded" in
-  Alcotest.(check bool)
-    (Printf.sprintf "session encodes fewer vars+clauses (%d vs %d)" (vc d_on) (vc d_off))
-    true
-    (float_of_int (vc d_on) <= 0.75 *. float_of_int (vc d_off))
-
 let () =
   Alcotest.run "eco"
     [
@@ -582,9 +471,6 @@ let () =
             test_abort_keeps_solver_effort;
           Alcotest.test_case "step-infeasible falls back to structural" `Quick
             test_step_infeasible_falls_back;
-          Alcotest.test_case "step-infeasible fallback with sessions" `Quick
-            test_step_infeasible_falls_back_with_sessions;
-          Alcotest.test_case "session reuse saves encodes" `Slow test_session_saves_encodes;
         ] );
       ( "optimality",
         [
@@ -596,5 +482,5 @@ let () =
           Alcotest.test_case "bdd patch verifies" `Quick test_bdd_patch_matches;
           bdd_patches_verify_random;
         ] );
-      ("property", [ random_instances_solved; session_reuse_agrees ]);
+      ("property", [ random_instances_solved ]);
     ]

@@ -261,167 +261,6 @@ let test_simplify_against_bdd_oracle () =
   (* The pass is vacuous if elimination never fires across the instances. *)
   Alcotest.(check bool) "preprocessing eliminated variables" true (!eliminated_total > 0)
 
-(* Long-lived incremental sessions with inprocessing, differentially
-   against two references at once: the BDD oracle over the session's
-   logical clause set, and a twin session fed the identical operation
-   stream but never inprocessed.  Each seeded case runs a random workload
-   of clause additions (including planted equivalences and XOR gadgets, so
-   the SCC and Gauss passes find real structure), retractable-group
-   opens/retracts, assumption solves, and [Sat.Simplify.inprocess] calls
-   (all techniques on) at random points between solves.  Every solve must
-   produce the same status from the session, the twin and the oracle; SAT
-   models (read through the extension stack) must satisfy every clause the
-   oracle currently holds. *)
-
-let n_session_cases = 320
-
-let test_inprocess_sessions () =
-  let sat_seen = ref 0 and unsat_seen = ref 0 and solves = ref 0 in
-  let runs = ref 0 and viv = ref 0 and shrunk = ref 0 in
-  let xors = ref 0 and substs = ref 0 and gc = ref 0 in
-  for seed = 0 to n_session_cases - 1 do
-    let rand = Random.State.make [| 0x5e55; seed |] in
-    let nv = 4 + Random.State.int rand 8 in
-    (* every third seed layers inprocessing over the preprocessing-enabled
-       configuration; the rest use the session configuration (enabled:false,
-       as [Two_copy.create_session] does) *)
-    let enabled = seed mod 3 = 0 in
-    let ctx = Printf.sprintf "session seed %d" seed in
-    let mk () =
-      let solver = Sat.Solver.create () in
-      let simp = Sat.Simplify.create ~enabled solver in
-      ignore (Sat.Solver.new_vars solver nv);
-      simp
-    in
-    let simp = mk () and twin = mk () in
-    let man = Bdd.create nv in
-    let restrict_by bdd lits =
-      List.fold_left
-        (fun acc l -> Bdd.restrict man (Sat.Lit.var l) (Sat.Lit.is_pos l) acc)
-        bdd lits
-    in
-    let plain = ref [] in
-    let groups = ref [] (* (group in simp, group in twin, clauses) — active only *) in
-    let rand_clause () =
-      let len = 1 + Random.State.int rand 3 in
-      List.init len (fun _ ->
-          Sat.Lit.of_var (Random.State.int rand nv) (Random.State.bool rand))
-    in
-    let add_both cls =
-      Sat.Simplify.add_clause simp cls;
-      Sat.Simplify.add_clause twin cls;
-      plain := cls :: !plain
-    in
-    let n_ops = 8 + Random.State.int rand 10 in
-    for _ = 1 to n_ops do
-      (match Random.State.int rand 8 with
-      | 0 | 1 | 2 -> add_both (rand_clause ())
-      | 3 ->
-        (* plant an equivalence x <-> y: an SCC of the binary graph *)
-        let x = Random.State.int rand nv and y = Random.State.int rand nv in
-        if x <> y then begin
-          add_both [ Sat.Lit.make_neg x; Sat.Lit.make y ];
-          add_both [ Sat.Lit.make x; Sat.Lit.make_neg y ]
-        end
-      | 4 ->
-        (* plant x (+) y (+) z = q as its four ternary clauses *)
-        let x = Random.State.int rand nv in
-        let y = (x + 1 + Random.State.int rand (nv - 1)) mod nv in
-        let z = (x + 1 + Random.State.int rand (nv - 1)) mod nv in
-        if x <> y && y <> z && x <> z then begin
-          let q = Random.State.bool rand in
-          List.iter
-            (fun (sx, sy) ->
-              let sz = if q then not (sx <> sy) else sx <> sy in
-              add_both
-                [ Sat.Lit.of_var x sx; Sat.Lit.of_var y sy; Sat.Lit.of_var z sz ])
-            [ (false, false); (false, true); (true, false); (true, true) ]
-        end
-      | 5 ->
-        let gs = Sat.Simplify.new_group simp and gt = Sat.Simplify.new_group twin in
-        let cls = List.init (1 + Random.State.int rand 3) (fun _ -> rand_clause ()) in
-        List.iter
-          (fun c ->
-            Sat.Simplify.add_clause_in_group simp gs c;
-            Sat.Simplify.add_clause_in_group twin gt c)
-          cls;
-        groups := (gs, gt, cls) :: !groups
-      | _ -> (
-        match !groups with
-        | [] -> ()
-        | l ->
-          let i = Random.State.int rand (List.length l) in
-          let gs, gt, _ = List.nth l i in
-          Sat.Simplify.retract_group simp gs;
-          Sat.Simplify.retract_group twin gt;
-          groups := List.filteri (fun j _ -> j <> i) l));
-      if Random.State.int rand 3 = 0 then begin
-        incr solves;
-        let extra =
-          if Random.State.bool rand then []
-          else
-            let n = 1 + Random.State.int rand 3 in
-            let vars =
-              List.sort_uniq compare (List.init n (fun _ -> Random.State.int rand nv))
-            in
-            List.map (fun v -> Sat.Lit.of_var v (Random.State.bool rand)) vars
-        in
-        let oracle_clauses =
-          !plain @ List.concat_map (fun (_, _, c) -> c) !groups
-        in
-        let expect_sat =
-          not (Bdd.is_false (restrict_by (bdd_of_cnf man oracle_clauses) extra))
-        in
-        let solve_one name s group_of =
-          let assumptions =
-            extra @ List.map (fun g -> Sat.Solver.group_lit (group_of g)) !groups
-          in
-          match Sat.Simplify.solve ~assumptions s with
-          | Sat.Solver.Sat ->
-            Alcotest.(check bool) (ctx ^ ": " ^ name ^ " agrees sat") true expect_sat;
-            Alcotest.(check bool)
-              (ctx ^ ": " ^ name ^ " model satisfies session clauses")
-              true
-              (List.for_all
-                 (List.exists (fun l -> Sat.Simplify.value s l))
-                 oracle_clauses);
-            Alcotest.(check bool)
-              (ctx ^ ": " ^ name ^ " model satisfies assumptions")
-              true
-              (List.for_all (Sat.Simplify.value s) extra);
-            true
-          | Sat.Solver.Unsat ->
-            Alcotest.(check bool) (ctx ^ ": " ^ name ^ " agrees unsat") false expect_sat;
-            false
-          | Sat.Solver.Unknown -> Alcotest.fail (ctx ^ ": unexpected Unknown")
-        in
-        let got = solve_one "session" simp (fun (g, _, _) -> g) in
-        let got_twin = solve_one "twin" twin (fun (_, g, _) -> g) in
-        Alcotest.(check bool) (ctx ^ ": session and twin agree") got got_twin;
-        if got then incr sat_seen else incr unsat_seen;
-        (* inprocess only the main session — the twin keeps the untouched
-           database the next solves are compared against *)
-        if Random.State.int rand 2 = 0 then Sat.Simplify.inprocess simp
-      end
-    done;
-    let st = Sat.Simplify.inprocess_stats simp in
-    runs := !runs + st.Sat.Simplify.runs;
-    viv := !viv + st.Sat.Simplify.vivified_clauses;
-    shrunk := !shrunk + st.Sat.Simplify.subsumed_learnts + st.Sat.Simplify.strengthened_learnts;
-    xors := !xors + st.Sat.Simplify.xor_rows;
-    substs := !substs + st.Sat.Simplify.substituted_vars;
-    gc := !gc + st.Sat.Simplify.gc_clauses
-  done;
-  (* The battery is vacuous unless both verdicts and every inprocessing
-     technique actually fired across the seeds. *)
-  Alcotest.(check bool) "saw satisfiable solves" true (!sat_seen > 50);
-  Alcotest.(check bool) "saw unsatisfiable solves" true (!unsat_seen > 50);
-  Alcotest.(check bool) "inprocess rounds ran" true (!runs > 100);
-  Alcotest.(check bool) "gc reclaimed clauses" true (!gc > 0);
-  Alcotest.(check bool) "xor rows recovered" true (!xors > 0);
-  Alcotest.(check bool) "scc substituted variables" true (!substs > 0);
-  Alcotest.(check bool) "learnt clauses vivified or subsumed" true (!viv + !shrunk > 0)
-
 let () =
   Alcotest.run "fuzz_sat"
     [
@@ -432,7 +271,5 @@ let () =
             test_assumptions_against_bdd_oracle;
           Alcotest.test_case "simplify-enabled cdcl vs bdd oracle" `Quick
             test_simplify_against_bdd_oracle;
-          Alcotest.test_case "inprocessed sessions vs bdd oracle and twin" `Quick
-            test_inprocess_sessions;
         ] );
     ]

@@ -19,7 +19,7 @@ let brute_minimum ~weights clauses =
 
 let cost weights set = List.fold_left (fun acc e -> acc + weights.(e)) 0 set
 
-module Hs = Eco.Hitting_set
+module Hs = Diff.Hitting_set
 
 let test_basics () =
   Alcotest.(check (option (list int))) "no clauses" (Some []) (Hs.minimum ~weights:[| 1; 2 |] []);

@@ -220,152 +220,6 @@ let dimacs_roundtrip =
       let cnf' = Sat.Dimacs.parse_string (Sat.Dimacs.to_string cnf) in
       cnf'.Sat.Dimacs.clauses = clauses && cnf'.Sat.Dimacs.num_vars >= nv)
 
-let test_group_activation () =
-  let s = Sat.Solver.create () in
-  let a = Sat.Solver.new_var s and b = Sat.Solver.new_var s in
-  let g = Sat.Solver.new_group s in
-  let gl = Sat.Solver.group_lit g in
-  Sat.Solver.add_clause_in_group s g [ lit a ];
-  Sat.Solver.add_clause_in_group s g [ nlit a; lit b ];
-  (* Inactive group does not constrain. *)
-  (match Sat.Solver.solve ~assumptions:[ nlit a; nlit b ] s with
-  | Sat.Solver.Sat -> ()
-  | _ -> Alcotest.fail "inactive group must not constrain");
-  (* Active group forces a and b. *)
-  (match Sat.Solver.solve ~assumptions:[ gl ] s with
-  | Sat.Solver.Sat ->
-    Alcotest.(check bool) "a forced" true (Sat.Solver.value s (lit a));
-    Alcotest.(check bool) "b forced" true (Sat.Solver.value s (lit b))
-  | _ -> Alcotest.fail "expected SAT under activation");
-  Alcotest.(check bool) "group conflicts"
-    true
-    (Sat.Solver.solve ~assumptions:[ gl; nlit b ] s = Sat.Solver.Unsat)
-
-let test_group_retract () =
-  let s = Sat.Solver.create () in
-  let a = Sat.Solver.new_var s in
-  let g = Sat.Solver.new_group s in
-  let gl = Sat.Solver.group_lit g in
-  Sat.Solver.add_clause_in_group s g [ lit a ];
-  Alcotest.(check bool) "active" true (Sat.Solver.solve ~assumptions:[ gl; nlit a ] s = Sat.Solver.Unsat);
-  Sat.Solver.retract_group s g;
-  (* The retracted group's clauses are gone for good... *)
-  Alcotest.(check bool) "retracted" true (Sat.Solver.solve ~assumptions:[ nlit a ] s = Sat.Solver.Sat);
-  (* ... its activation literal is now falsified... *)
-  Alcotest.(check bool) "activation dead" true (Sat.Solver.solve ~assumptions:[ gl ] s = Sat.Solver.Unsat);
-  (* ... double retraction and adding into a dead group are harmless. *)
-  Sat.Solver.retract_group s g;
-  Sat.Solver.add_clause_in_group s g [ lit a ];
-  Alcotest.(check bool) "add after retract inert" true
-    (Sat.Solver.solve ~assumptions:[ nlit a ] s = Sat.Solver.Sat)
-
-let test_group_independence () =
-  (* Two groups activate and retract independently over shared variables. *)
-  let s = Sat.Solver.create () in
-  let a = Sat.Solver.new_var s in
-  let g1 = Sat.Solver.new_group s and g2 = Sat.Solver.new_group s in
-  Sat.Solver.add_clause_in_group s g1 [ lit a ];
-  Sat.Solver.add_clause_in_group s g2 [ nlit a ];
-  let l1 = Sat.Solver.group_lit g1 and l2 = Sat.Solver.group_lit g2 in
-  Alcotest.(check bool) "both active clash" true
-    (Sat.Solver.solve ~assumptions:[ l1; l2 ] s = Sat.Solver.Unsat);
-  Alcotest.(check bool) "g1 alone" true (Sat.Solver.solve ~assumptions:[ l1 ] s = Sat.Solver.Sat);
-  Alcotest.(check bool) "a true under g1" true (Sat.Solver.value s (lit a));
-  Sat.Solver.retract_group s g1;
-  Alcotest.(check bool) "g2 after g1 retracted" true
-    (Sat.Solver.solve ~assumptions:[ l2 ] s = Sat.Solver.Sat);
-  Alcotest.(check bool) "a false under g2" true (Sat.Solver.value s (nlit a))
-
-let test_group_simplify_freeze () =
-  (* With the preprocessor enabled, the activation variable has no positive
-     occurrence; unfrozen it would be eliminated with zero resolvents,
-     silently deleting the whole group.  [Simplify.new_group] must freeze
-     it. *)
-  let s = Sat.Solver.create () in
-  let simp = Sat.Simplify.create ~enabled:true s in
-  let a = Sat.Solver.new_var s and b = Sat.Solver.new_var s in
-  Sat.Simplify.freeze simp (lit a);
-  Sat.Simplify.freeze simp (lit b);
-  let g = Sat.Simplify.new_group simp in
-  let gl = Sat.Solver.group_lit g in
-  Sat.Simplify.add_clause_in_group simp g [ lit a ];
-  Sat.Simplify.add_clause simp [ nlit a; lit b ];
-  Sat.Simplify.simplify simp;
-  Alcotest.(check bool) "activation var survives preprocessing" false
-    (Sat.Simplify.is_eliminated simp (Sat.Lit.var gl));
-  Alcotest.(check bool) "active group propagates" true
-    (Sat.Simplify.solve ~assumptions:[ gl; nlit b ] simp = Sat.Solver.Unsat);
-  Alcotest.(check bool) "inactive group free" true
-    (Sat.Simplify.solve ~assumptions:[ nlit a; nlit b ] simp = Sat.Solver.Sat);
-  Sat.Simplify.retract_group simp g;
-  Sat.Simplify.simplify simp;
-  Alcotest.(check bool) "retract through simplifier" true
-    (Sat.Simplify.solve ~assumptions:[ nlit a; nlit b ] simp = Sat.Solver.Sat);
-  Alcotest.(check bool) "activation dead after retract" true
-    (Sat.Simplify.solve ~assumptions:[ gl ] simp = Sat.Solver.Unsat)
-
-let test_inprocess_group_safety () =
-  (* The SCC pass must never pick a frozen activation variable as a
-     substitution target — the retraction unit ~a has to keep its meaning —
-     while substituting other variables TOWARDS it is fine.  Build an
-     equivalence a <-> x between the activation variable and a plain one:
-     the group clause [x] is stored as (~a | x), and (a | ~x) closes the
-     cycle. *)
-  let s = Sat.Solver.create () in
-  let simp = Sat.Simplify.create ~enabled:false s in
-  let x = Sat.Solver.new_var s and y = Sat.Solver.new_var s in
-  let g = Sat.Simplify.new_group simp in
-  let gl = Sat.Solver.group_lit g in
-  Sat.Simplify.add_clause_in_group simp g [ lit x ];
-  Sat.Simplify.add_clause simp [ gl; nlit x ];
-  Sat.Simplify.add_clause simp [ lit x; lit y ];
-  Alcotest.(check bool) "active group forces x" true
-    (Sat.Simplify.solve ~assumptions:[ gl ] simp = Sat.Solver.Sat
-    && Sat.Simplify.value simp (lit x));
-  Sat.Simplify.inprocess simp;
-  let st = Sat.Simplify.inprocess_stats simp in
-  Alcotest.(check bool) "scc substituted the plain variable" true
-    (st.Sat.Simplify.substituted_vars > 0);
-  Alcotest.(check bool) "activation variable never a substitution target" false
-    (Sat.Simplify.is_substituted simp (Sat.Lit.var gl));
-  (* the substituted database still answers through the group *)
-  Alcotest.(check bool) "active group still forces x" true
-    (Sat.Simplify.solve ~assumptions:[ gl ] simp = Sat.Solver.Sat
-    && Sat.Simplify.value simp (lit x));
-  (* retraction after inprocessing: the unit ~a kills the group clause and,
-     through the equivalence, x itself; assuming ~x (which freezes and so
-     reintroduces the substituted variable) must now be satisfiable *)
-  Sat.Simplify.retract_group simp g;
-  Alcotest.(check bool) "retract after inprocess works" true
-    (Sat.Simplify.solve ~assumptions:[ nlit x ] simp = Sat.Solver.Sat
-    && Sat.Simplify.value simp (lit y));
-  let st = Sat.Simplify.inprocess_stats simp in
-  Alcotest.(check bool) "substituted variable reintroduced on freeze" true
-    (st.Sat.Simplify.resubstituted_vars > 0)
-
-let test_inprocess_retract_detaches () =
-  (* Retracting a group after an inprocessing round must still detach every
-     clause of the group, and the next round reclaims them. *)
-  let s = Sat.Solver.create () in
-  let simp = Sat.Simplify.create ~enabled:false s in
-  let x = Sat.Solver.new_var s and y = Sat.Solver.new_var s in
-  let g = Sat.Simplify.new_group simp in
-  Sat.Simplify.add_clause_in_group simp g [ lit x ];
-  Sat.Simplify.add_clause_in_group simp g [ lit y ];
-  Sat.Simplify.add_clause simp [ lit x; lit y ];
-  let gl = Sat.Solver.group_lit g in
-  Alcotest.(check bool) "group active" true
-    (Sat.Simplify.solve ~assumptions:[ gl ] simp = Sat.Solver.Sat);
-  Sat.Simplify.inprocess simp;
-  Sat.Simplify.retract_group simp g;
-  Alcotest.(check bool) "group clauses detached" true
-    (Sat.Simplify.solve ~assumptions:[ nlit x ] simp = Sat.Solver.Sat
-    && Sat.Simplify.value simp (lit y));
-  let before = (Sat.Simplify.inprocess_stats simp).Sat.Simplify.gc_clauses in
-  Sat.Simplify.inprocess simp;
-  let after = (Sat.Simplify.inprocess_stats simp).Sat.Simplify.gc_clauses in
-  Alcotest.(check bool) "retracted group reclaimed by gc" true (after > before)
-
 let test_skipped_passes_counter () =
   (* A solve with nothing new pending must not silently re-run (or silently
      skip) the preprocessing pipeline: the skip is counted. *)
@@ -405,13 +259,6 @@ let () =
           Alcotest.test_case "budget gives unknown" `Quick test_budget_unknown;
           Alcotest.test_case "incremental narrowing" `Quick test_incremental_narrowing;
           Alcotest.test_case "xor chains" `Quick test_xor_bank;
-          Alcotest.test_case "group activation" `Quick test_group_activation;
-          Alcotest.test_case "group retraction" `Quick test_group_retract;
-          Alcotest.test_case "group independence" `Quick test_group_independence;
-          Alcotest.test_case "group freeze under simplify" `Quick test_group_simplify_freeze;
-          Alcotest.test_case "inprocess group safety" `Quick test_inprocess_group_safety;
-          Alcotest.test_case "inprocess then retract detaches" `Quick
-            test_inprocess_retract_detaches;
           Alcotest.test_case "skipped passes counted" `Quick test_skipped_passes_counter;
           Alcotest.test_case "dimacs parse" `Quick test_dimacs_parse;
         ] );

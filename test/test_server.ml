@@ -278,6 +278,30 @@ let test_guard_catches_poisoned_entry () =
   Alcotest.(check string) "healed entry replays the genuine result" genuine
     (J.to_string (result_of r3))
 
+(* Older clients may still send the retired "reuse_sessions" and
+   "inprocess" options.  They are ignored, so such a request shares the
+   fingerprint, and so the cache entry, of the same request without
+   them. *)
+let test_retired_options_share_cache () =
+  let t = Server.create sync_config in
+  let plain = payload (R.Solve (unit_spec "unit5")) in
+  let retired = {|{"v":1,"op":"solve","unit":"unit5","reuse_sessions":true,"inprocess":true}|} in
+  let key s =
+    match R.parse s with
+    | Ok { R.request = R.Solve spec; _ } -> (
+      match R.resolve spec.R.source with
+      | Ok inst -> Server.solve_fingerprint t spec inst
+      | Error e -> Alcotest.fail e)
+    | _ -> Alcotest.fail ("not a solve request: " ^ s)
+  in
+  Alcotest.(check bool) "same fingerprint" true (key plain = key retired);
+  let r1 = parse_response (Server.handle_payload t plain) in
+  Alcotest.(check bool) "first solve not cached" true (J.member "cached" r1 = Some (J.Bool false));
+  let r2 = parse_response (Server.handle_payload t retired) in
+  Alcotest.(check bool) "retired options hit the cache" true
+    (J.member "cached" r2 = Some (J.Bool true));
+  Alcotest.(check string) "same result" (J.to_string (result_of r1)) (J.to_string (result_of r2))
+
 (* {2 Live socket end-to-end} *)
 
 let connect_retry address =
@@ -404,6 +428,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutting_down;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
           Alcotest.test_case "guard catches poisoned entry" `Quick test_guard_catches_poisoned_entry;
+          Alcotest.test_case "retired options share the cache" `Quick
+            test_retired_options_share_cache;
         ] );
       ("e2e", [ Alcotest.test_case "socket round-trip" `Quick test_e2e_socket ]);
     ]
