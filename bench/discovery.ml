@@ -39,10 +39,8 @@ type row = {
 }
 
 let config_for (spec : Gen.Suite.unit_spec) =
-  let c = Eco.Engine.config_of_method Eco.Engine.Min_assume in
-  if spec.Gen.Suite.structural then
-    { c with Eco.Engine.force_structural = true; use_qbf = false; verify_budget = 10_000 }
-  else c
+  Server.Request.config_of_options
+    { Server.Request.default_options with Server.Request.structural = spec.Gen.Suite.structural }
 
 let summarize (o : Eco.Engine.outcome) =
   {

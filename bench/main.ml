@@ -33,11 +33,10 @@
                    (models re-evaluated, UNSAT proofs replayed); prints a
                    certification summary and exits non-zero if any check
                    fails
-   --exact-synth   SAT-exact resynthesis of committed patches (≤ 6 support
-                   inputs); commit-time only — statuses and costs are
-                   identical with the flag on or off, gates/depth drop
-   --rewrite       DAG-aware cut rewriting of patch circuits exact
-                   synthesis cannot reach
+   --resynth       resynthesize the final patches (exact synthesis of
+                   ≤ 6-input patches, then cut rewriting); statuses and
+                   costs are identical with the flag on or off, gates/depth
+                   drop
    --json FILE     write the Table 1 telemetry JSON here
                    (default BENCH_table1.json)
 
@@ -69,8 +68,7 @@ let () =
   if List.mem "--no-simplify" args then Sat.Simplify.enabled := false;
   let verify = not (List.mem "--no-verify" args) in
   let certify = List.mem "--certify" args in
-  let exact_synth = List.mem "--exact-synth" args in
-  let rewrite = List.mem "--rewrite" args in
+  let resynth = List.mem "--resynth" args in
   (* Consume "-j N" / "--json FILE" pairs (and "-jN"), leaving the
      experiment name. *)
   let jobs = ref 1 in
@@ -99,8 +97,7 @@ let () =
       match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
       | Some n when n >= 1 -> jobs := n; strip rest
       | _ -> Printf.eprintf "bad option %S\n" a; exit 2)
-    | ("--no-simplify" | "--no-verify" | "--certify" | "--no-cache" | "--smoke" | "--exact-synth"
-      | "--rewrite")
+    | ("--no-simplify" | "--no-verify" | "--certify" | "--no-cache" | "--smoke" | "--resynth")
       :: rest -> strip rest
     | a :: rest -> a :: strip rest
   in
@@ -122,7 +119,7 @@ let () =
         names
   in
   let table1 units =
-    ignore (Table1.run ~units ~json ~jobs ~verify ~certify ~exact_synth ~rewrite ());
+    ignore (Table1.run ~units ~json ~jobs ~verify ~certify ~resynth ());
     if certify then begin
       let snap = Telemetry.snapshot () in
       let get n = match List.assoc_opt n snap with Some v -> v | None -> 0 in

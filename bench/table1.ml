@@ -6,8 +6,7 @@
 
 (* One solved unit x configuration outcome.  [depth] is the maximum
    structural depth over the unit's patches — it rides along with [gates]
-   so the synthesis flags (--exact-synth/--rewrite) regress on both axes
-   of the α·gates + β·depth cost. *)
+   so a --resynth run is gated on both axes (gates and depth never grow). *)
 type res = { cost : int; gates : int; depth : int; time : float; verified : bool option }
 
 type row = {
@@ -25,24 +24,28 @@ type row = {
 let methods = [| Eco.Engine.Baseline; Eco.Engine.Min_assume; Eco.Engine.Exact |]
 let method_names = [| "w/o minimize_assumptions"; "w/ minimize_assumptions"; "SAT_prune+CEGAR_min" |]
 
-let config_for ?(verify = true) ?(certify = false) ?(exact_synth = false) ?(rewrite = false)
+(* Structural units stand in for the paper's SAT timeouts; the structural
+   option also keeps their verification budget small, so the wall clock
+   stays bounded (the simulation pre-pass still guards against wrong
+   patches). *)
+let config_for ?(verify = true) ?(certify = false) ?(resynth = false)
     (spec : Gen.Suite.unit_spec) method_ =
-  let c = Eco.Engine.config_of_method method_ in
-  let c = { c with Eco.Engine.certify; exact_synth; rewrite } in
-  let c = if verify then c else { c with Eco.Engine.verify = false } in
-  if spec.Gen.Suite.structural then
-    (* Structural units stand in for the paper's SAT timeouts: keep their
-       verification budget small too, so the wall clock stays bounded (the
-       simulation pre-pass still guards against wrong patches). *)
-    { c with Eco.Engine.force_structural = true; use_qbf = false; verify_budget = 10_000 }
-  else c
+  Server.Request.config_of_options
+    {
+      Server.Request.default_options with
+      Server.Request.method_;
+      certify;
+      verify;
+      resynth;
+      structural = spec.Gen.Suite.structural;
+    }
 
 (* Counter deltas come from [local_snapshot]: a unit runs entirely on one
    domain, so diffing the domain-local tallies attributes exactly this
    unit's solver effort to its row even while other units run concurrently
    (and in a sequential run the diffs coincide with global-snapshot
    diffs). *)
-let run_unit ?(progress = true) ?verify ?certify ?exact_synth ?rewrite (spec : Gen.Suite.unit_spec) =
+let run_unit ?(progress = true) ?verify ?certify ?resynth (spec : Gen.Suite.unit_spec) =
   let inst = Gen.Suite.instantiate spec in
   let counters = Array.make (Array.length methods) [] in
   let results =
@@ -54,7 +57,7 @@ let run_unit ?(progress = true) ?verify ?certify ?exact_synth ?rewrite (spec : G
             | Eco.Engine.Baseline -> "baseline"
             | Eco.Engine.Min_assume -> "min_assume"
             | Eco.Engine.Exact -> "exact");
-        let config = config_for ?verify ?certify ?exact_synth ?rewrite spec m in
+        let config = config_for ?verify ?certify ?resynth spec m in
         let before = Telemetry.local_snapshot () in
         let outcome =
           match Eco.Engine.solve ~config inst with
@@ -185,14 +188,14 @@ let failed_row (spec : Gen.Suite.unit_spec) exn =
   }
 
 let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?verify ?certify
-    ?exact_synth ?rewrite () =
+    ?resynth () =
   Printf.printf "\n=== Table 1: ICCAD'17-style suite, three configurations ===\n";
   if jobs > 1 then Printf.eprintf "  (parallel sweep: %d worker domains)\n%!" jobs;
   let rows =
     List.map2
       (fun spec -> function Ok row -> row | Error e -> failed_row spec e)
       units
-      (Pool.map ~jobs (run_unit ?verify ?certify ?exact_synth ?rewrite) units)
+      (Pool.map ~jobs (run_unit ?verify ?certify ?resynth) units)
   in
   print_rows rows;
   write_json json rows;

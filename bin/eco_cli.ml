@@ -114,7 +114,7 @@ let solve_cmd =
     Arg.(value & opt method_conv Eco.Engine.Min_assume & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"Support computation: baseline, min_assume (default) or exact.")
   in
   let structural =
-    Arg.(value & flag & info [ "structural" ] ~doc:"Skip the SAT pipeline; compute a structural patch directly (disables 2QBF feasibility and trims the verification budget, as $(b,batch) does for structural units).")
+    Arg.(value & flag & info [ "structural" ] ~doc:"Skip the SAT pipeline; compute a structural patch directly (skips the feasibility check and trims the verification budget, as $(b,batch) does for structural units).")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the patched implementation netlist here.")
@@ -137,25 +137,14 @@ let solve_cmd =
   let discover =
     Arg.(value & flag & info [ "discover" ] ~doc:"Discover the target signals first by SAT-based diffing of the implementation against the specification ($(b,--target) becomes optional; any given targets are ignored), then solve for the discovered set.  The discovered targets are advisory: the solve re-establishes feasibility and the patch is verified as usual.")
   in
-  let exact_synth =
-    Arg.(value & flag & info [ "exact-synth" ] ~doc:"Resynthesize every committed patch with at most 6 support inputs by SAT-exact synthesis: minimum AND count under the factored circuit's depth as a hard bound, BDD-verified against the patch SOP before replacing it.  Statuses, costs and SAT trajectories are unchanged; only the reported patch circuits shrink.  Effort lands in the synth.* counters.")
-  in
-  let rewrite =
-    Arg.(value & flag & info [ "rewrite" ] ~doc:"DAG-aware 4-input-cut rewriting of patch circuits exact synthesis cannot reach (wider support, or budget-out), under the weighted $(b,--gate-weight)/$(b,--depth-weight) cost.  Same commit-time-only, Pareto-guarded, BDD-verified discipline as $(b,--exact-synth).")
-  in
-  let gate_weight =
-    Arg.(value & opt int 4 & info [ "gate-weight" ] ~docv:"N" ~doc:"α of the rewrite acceptance cost α·gates + β·depth (default 4).")
-  in
-  let depth_weight =
-    Arg.(value & opt int 1 & info [ "depth-weight" ] ~docv:"N" ~doc:"β of the rewrite acceptance cost α·gates + β·depth (default 1).")
+  let resynth =
+    Arg.(value & flag & info [ "resynth" ] ~doc:"Resynthesize the final patches: SAT-exact synthesis of patches with at most 6 support inputs (minimum AND count under the factored circuit's depth as a hard bound), then DAG-aware 4-input-cut rewriting, each result BDD-verified against the patch SOP and kept only if it Pareto-improves gates/depth.  Statuses, costs and SAT trajectories are unchanged; only the reported patch circuits shrink.  Effort lands in the $(b,synth) phase and the synth.* counters.")
   in
   let run impl_file spec_file targets unit_name weights method_ structural out budget stats trace
-      no_simplify certify discover exact_synth rewrite gate_weight depth_weight =
+      no_simplify certify discover resynth =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if budget < 0 then usage "--budget expects a non-negative conflict count";
-    if gate_weight < 0 || depth_weight < 0 then
-      usage "--gate-weight/--depth-weight expect non-negative weights";
     let instance =
       resolve
         (source_of_args ~require_targets:(not discover) ~unit_name ~impl_file ~spec_file ~targets
@@ -189,10 +178,7 @@ let solve_cmd =
         certify;
         structural;
         budget;
-        exact_synth;
-        rewrite;
-        gate_weight;
-        depth_weight;
+        resynth;
       }
     in
     let config = Server.Request.config_of_options options in
@@ -223,7 +209,7 @@ let solve_cmd =
     Term.(
       const run $ impl_file $ spec_file $ targets $ unit_name $ weights $ method_ $ structural
       $ out $ budget $ stats $ trace $ no_simplify $ certify
-      $ discover $ exact_synth $ rewrite $ gate_weight $ depth_weight)
+      $ discover $ resynth)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute ECO patch functions for the given targets.") term
 
@@ -287,25 +273,13 @@ let batch_cmd =
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict of every unit; the batch fails if any check fails.")
   in
-  let exact_synth =
-    Arg.(value & flag & info [ "exact-synth" ] ~doc:"SAT-exact resynthesis of committed patches with at most 6 support inputs (commit-time only; statuses and costs are unchanged).")
+  let resynth =
+    Arg.(value & flag & info [ "resynth" ] ~doc:"Resynthesize the final patches of every unit (exact synthesis, then rewriting; statuses and costs are unchanged).")
   in
-  let rewrite =
-    Arg.(value & flag & info [ "rewrite" ] ~doc:"DAG-aware 4-input-cut rewriting of patch circuits exact synthesis cannot reach.")
-  in
-  let gate_weight =
-    Arg.(value & opt int 4 & info [ "gate-weight" ] ~docv:"N" ~doc:"α of the rewrite acceptance cost α·gates + β·depth (default 4).")
-  in
-  let depth_weight =
-    Arg.(value & opt int 1 & info [ "depth-weight" ] ~docv:"N" ~doc:"β of the rewrite acceptance cost α·gates + β·depth (default 1).")
-  in
-  let run units jobs method_ no_verify no_simplify stats certify exact_synth rewrite gate_weight
-      depth_weight =
+  let run units jobs method_ no_verify no_simplify stats certify resynth =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if jobs < 1 then usage "-j expects a positive worker count";
-    if gate_weight < 0 || depth_weight < 0 then
-      usage "--gate-weight/--depth-weight expect non-negative weights";
     let specs =
       match units with
       | [] -> Gen.Suite.all
@@ -318,21 +292,15 @@ let batch_cmd =
           names
     in
     let config_for (spec : Gen.Suite.unit_spec) =
-      let c = Eco.Engine.config_of_method method_ in
-      let c =
+      Server.Request.config_of_options
         {
-          c with
-          Eco.Engine.certify;
-          exact_synth;
-          rewrite;
-          synth_gate_weight = gate_weight;
-          synth_depth_weight = depth_weight;
+          Server.Request.default_options with
+          Server.Request.method_;
+          certify;
+          structural = spec.Gen.Suite.structural;
+          verify = not no_verify;
+          resynth;
         }
-      in
-      let c = if no_verify then { c with Eco.Engine.verify = false } else c in
-      if spec.Gen.Suite.structural then
-        { c with Eco.Engine.force_structural = true; use_qbf = false; verify_budget = 10_000 }
-      else c
     in
     let solve_unit spec =
       let inst = Gen.Suite.instantiate spec in
@@ -378,7 +346,7 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Solve a list of benchmark units, optionally in parallel over worker domains.")
-    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify $ exact_synth $ rewrite $ gate_weight $ depth_weight)
+    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify $ resynth)
 
 (* {2 suite} *)
 
@@ -523,17 +491,8 @@ let client_cmd =
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Ask the server to bypass its outcome cache for this job.")
   in
-  let exact_synth =
-    Arg.(value & flag & info [ "exact-synth" ] ~doc:"Ask for SAT-exact resynthesis of committed patches with at most 6 support inputs.")
-  in
-  let rewrite =
-    Arg.(value & flag & info [ "rewrite" ] ~doc:"Ask for DAG-aware cut rewriting of patch circuits exact synthesis cannot reach.")
-  in
-  let gate_weight =
-    Arg.(value & opt int 4 & info [ "gate-weight" ] ~docv:"N" ~doc:"α of the rewrite acceptance cost α·gates + β·depth (default 4).")
-  in
-  let depth_weight =
-    Arg.(value & opt int 1 & info [ "depth-weight" ] ~docv:"N" ~doc:"β of the rewrite acceptance cost α·gates + β·depth (default 1).")
+  let resynth =
+    Arg.(value & flag & info [ "resynth" ] ~doc:"Ask the server to resynthesize the final patches (exact synthesis, then rewriting).")
   in
   let deadline_ms =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Fail the request with $(b,deadline_expired) if its job cannot start within $(docv) milliseconds.")
@@ -548,12 +507,9 @@ let client_cmd =
     Arg.(value & flag & info [ "discover" ] ~doc:"Send a $(b,discover) request: the server diffs the implementation against the specification and returns the discovered target set ($(b,--target) becomes optional).")
   in
   let run socket units unit_name impl_file spec_file targets weights method_ certify structural
-      budget no_cache exact_synth rewrite gate_weight depth_weight deadline_ms stats_op
-      shutdown_op discover_op =
+      budget no_cache resynth deadline_ms stats_op shutdown_op discover_op =
     protect @@ fun () ->
     if budget < 0 then usage "--budget expects a non-negative conflict count";
-    if gate_weight < 0 || depth_weight < 0 then
-      usage "--gate-weight/--depth-weight expect non-negative weights";
     let address = parse_address socket in
     let options =
       {
@@ -563,10 +519,7 @@ let client_cmd =
         structural;
         budget;
         no_cache;
-        exact_synth;
-        rewrite;
-        gate_weight;
-        depth_weight;
+        resynth;
       }
     in
     let request =
@@ -641,8 +594,8 @@ let client_cmd =
        ~doc:"Send one request (solve, batch, stats or shutdown) to a running $(b,serve) instance and print the JSON response.")
     Term.(
       const run $ socket_arg $ units $ unit_name $ impl_file $ spec_file $ targets $ weights
-      $ method_ $ certify $ structural $ budget $ no_cache $ exact_synth $ rewrite $ gate_weight
-      $ depth_weight $ deadline_ms $ stats_op $ shutdown_op $ discover_op)
+      $ method_ $ certify $ structural $ budget $ no_cache $ resynth $ deadline_ms $ stats_op
+      $ shutdown_op $ discover_op)
 
 (* {2 main} *)
 

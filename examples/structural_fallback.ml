@@ -21,17 +21,13 @@ let () =
       ~dist:Netlist.Weights.T1 ~seed:77 ~n_targets:3 impl
   in
   Format.printf "instance: %a@.@." Eco.Instance.pp instance;
-  let base = Eco.Engine.config_of_method Eco.Engine.Min_assume in
-  let plain =
-    solve "structural"
-      { base with Eco.Engine.force_structural = true; use_cegar_min = false }
-      instance
+  (* In structural mode the methods differ only in CEGAR_min, which the
+     Exact method runs over the structural patches. *)
+  let structural m =
+    { (Eco.Engine.config_of_method m) with Eco.Engine.force_structural = true }
   in
-  let improved =
-    solve "structural+CEGAR_min"
-      { base with Eco.Engine.force_structural = true; use_cegar_min = true }
-      instance
-  in
+  let plain = solve "structural" (structural Eco.Engine.Min_assume) instance in
+  let improved = solve "structural+CEGAR_min" (structural Eco.Engine.Exact) instance in
   Format.printf "@.CEGAR_min cost %d -> %d, gates %d -> %d@." plain.Eco.Engine.cost
     improved.Eco.Engine.cost plain.Eco.Engine.gates improved.Eco.Engine.gates;
   (* The paper's §3.6.2 claim in miniature: certificate copies vs the full

@@ -5,20 +5,14 @@ type config = {
   sat_budget : int;
   feasibility_budget : int;
   last_gasp : bool;
-  use_cegar_min : bool;
   force_structural : bool;
-  use_qbf : bool;
   verify : bool;
   verify_budget : int;
   certify : bool; (* independently certify final SAT/UNSAT verdicts *)
   max_cubes : int;
   sat_prune_deadline : float; (* seconds per target for the exact search *)
-  sweep_patches : bool; (* SAT-sweep structural patch circuits *)
   patch_deadline : float; (* seconds per target for cube enumeration *)
-  exact_synth : bool; (* SAT-exact resynthesis of small patch functions *)
-  rewrite : bool; (* DAG-aware cut rewriting of larger patch circuits *)
-  synth_gate_weight : int; (* alpha of the rewrite cost alpha*gates + beta*depth *)
-  synth_depth_weight : int; (* beta of the rewrite cost *)
+  resynth : bool; (* exact synthesis + rewriting of the final patches *)
 }
 
 let config_of_method m =
@@ -27,29 +21,14 @@ let config_of_method m =
     sat_budget = 60_000;
     feasibility_budget = 80_000;
     last_gasp = (m = Min_assume || m = Exact);
-    use_cegar_min = (m = Exact);
     force_structural = false;
-    use_qbf = (m = Exact);
     verify = true;
     verify_budget = 40_000;
     certify = false;
     max_cubes = 50_000;
     sat_prune_deadline = 15.0;
-    sweep_patches = true;
     patch_deadline = 60.0;
-    exact_synth = false;
-    rewrite = false;
-    synth_gate_weight = 4;
-    synth_depth_weight = 1;
-  }
-
-let synth_opts_of config =
-  {
-    Patch.default_synth_opts with
-    Patch.exact = config.exact_synth;
-    rewrite = config.rewrite;
-    gate_weight = config.synth_gate_weight;
-    depth_weight = config.synth_depth_weight;
+    resynth = false;
   }
 
 let default_config = config_of_method Min_assume
@@ -112,7 +91,7 @@ let tc_discarded = Telemetry.Counter.make "eco.discarded_targets"
 let check_feasibility config (miter : Miter.t) notes =
   Telemetry.with_phase "feasibility" @@ fun () ->
   let targets = Miter.remaining_targets miter in
-  if config.use_qbf || List.length targets > 10 then begin
+  if config.method_ = Exact || List.length targets > 10 then begin
     let answer, stats =
       Qbf.Qbf2.solve miter.Miter.mgr ~phi:miter.Miter.miter_lit
         ~exists_inputs:(Miter.x_lits miter)
@@ -228,8 +207,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
           match
             Telemetry.with_phase "patch_fun" @@ fun () ->
             Patch_fun.compute ~budget ~certify:config.certify ~max_cubes:config.max_cubes
-              ~deadline:config.patch_deadline ~synth:(synth_opts_of config) miter
-              ~m_i ~target:name ~chosen:sel.Support.indices
+              ~deadline:config.patch_deadline miter ~m_i ~target:name ~chosen:sel.Support.indices
           with
           | pf -> pf
           | exception Patch_fun.Exhausted partial ->
@@ -245,10 +223,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
         let support_lits =
           List.map (fun i -> miter.Miter.divisors.(i).Miter.div_lit) sel.Support.indices
         in
-        (* Substitute the raw factored circuit, commit the (equivalent)
-           improved one: later targets and verification then see the same
-           miter whether or not resynthesis is enabled. *)
-        let lit = Patch.import_into pf.Patch_fun.raw_patch miter.Miter.mgr ~support_lits in
+        let lit = Patch.import_into pf.Patch_fun.patch miter.Miter.mgr ~support_lits in
         Miter.substitute_patch miter ~target:name lit;
         acc :=
           {
@@ -298,12 +273,12 @@ let structural_pipeline config (miter : Miter.t) window certificate notes ~deadl
       notes := ("miter_copies", Structural.copies_used ~certificate:cert) :: !notes;
       Structural.multi_target miter ~certificate:cert ~window
   in
-  (* Optional CEGAR_min improvement: patches are improved individually
+  (* CEGAR_min improvement (Exact only): patches are improved individually
      (signals chosen by earlier ones priced as free), and the whole batch
      is kept only if the union cost actually improves — individual wins
      can lose union-wise when they break support sharing. *)
   let patches =
-    if config.use_cegar_min then begin
+    if config.method_ = Exact then begin
       let used = ref [] in
       let improved =
         List.map
@@ -324,37 +299,29 @@ let structural_pipeline config (miter : Miter.t) window certificate notes ~deadl
     end
     else patches
   in
-  (* Resynthesis (SAT sweeping) after the support decisions: shrinks the
-     reported gate counts without touching costs. *)
-  let patches =
-    if config.sweep_patches then List.map (Patch.sweep ~deadline) patches else patches
-  in
-  let patches =
-    List.map
-      (fun p ->
-        Telemetry.Counter.incr tc_structural;
-        let support_lits =
-          List.map
-            (fun (name, _) ->
-              match List.assoc_opt name miter.Miter.x_inputs with
-              | Some l -> l
-              | None -> (
-                match
-                  Array.find_opt (fun d -> d.Miter.div_name = name) miter.Miter.divisors
-                with
-                | Some d -> d.Miter.div_lit
-                | None -> failwith ("structural: support signal not found: " ^ name)))
-            p.Patch.support
-        in
-        let lit = Patch.import_into p miter.Miter.mgr ~support_lits in
-        Miter.substitute_patch miter ~target:p.Patch.target lit;
-        p)
-      patches
-  in
-  (* Resynthesis at commit time only: the swept circuit was substituted
-     above, so the miter-side verification problem is independent of the
-     synth flags; the committed patches carry the improved circuits. *)
-  List.map (Patch.improve ~deadline (synth_opts_of config)) patches
+  (* SAT sweeping after the support decisions: shrinks the reported gate
+     counts without touching costs. *)
+  let patches = List.map (Patch.sweep ~deadline) patches in
+  List.map
+    (fun p ->
+      Telemetry.Counter.incr tc_structural;
+      let support_lits =
+        List.map
+          (fun (name, _) ->
+            match List.assoc_opt name miter.Miter.x_inputs with
+            | Some l -> l
+            | None -> (
+              match
+                Array.find_opt (fun d -> d.Miter.div_name = name) miter.Miter.divisors
+              with
+              | Some d -> d.Miter.div_lit
+              | None -> failwith ("structural: support signal not found: " ^ name)))
+          p.Patch.support
+      in
+      let lit = Patch.import_into p miter.Miter.mgr ~support_lits in
+      Miter.substitute_patch miter ~target:p.Patch.target lit;
+      p)
+    patches
 
 let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
   Telemetry.with_phase "eco" @@ fun () ->
@@ -364,6 +331,14 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
   let sat_calls = ref 0 in
   let acc = ref [] in
   let finish ?miter status patches used_structural =
+    (* The one resynthesis site.  The miter already holds the unimproved
+       circuits, so its check is independent of [resynth]; the netlist
+       check below sees the committed (improved) ones. *)
+    let patches =
+      if config.resynth then
+        Telemetry.with_phase "synth" (fun () -> List.map (Patch.improve ~deadline) patches)
+      else patches
+    in
     (* Verification ladder: random simulation (inside Verify.check), then
        the substituted miter — whose two sides share structure, making the
        UNSAT proof far easier than a from-scratch CEC — then the full

@@ -6,19 +6,21 @@
 type method_ =
   | Baseline  (** support from [analyze_final] only — Table 1 columns 7–9 *)
   | Min_assume  (** Algorithm 1 + last gasp — the contest winner, cols 10–12 *)
-  | Exact  (** SAT_prune minimum support + CEGAR_min — cols 13–15 *)
+  | Exact
+      (** SAT_prune minimum support + CEGAR_min — cols 13–15.  [Exact]
+          also decides feasibility by CEGAR 2QBF (retaining its
+          certificate for the structural multi-target patch) and runs
+          CEGAR_min over structural patches; the other methods use the
+          quantified-miter CEC unless there are more than 10 targets. *)
 
 type config = {
   method_ : method_;
   sat_budget : int;  (** conflicts per SAT call; 0 = unlimited *)
   feasibility_budget : int;
   last_gasp : bool;
-  use_cegar_min : bool;
   force_structural : bool;
-      (** skip the SAT pipeline, emulating a feasibility timeout *)
-  use_qbf : bool;
-      (** use CEGAR 2QBF for feasibility, retaining its certificate for the
-          structural multi-target patch *)
+      (** skip the feasibility check and the SAT pipeline, emulating a
+          feasibility timeout *)
   verify : bool;
   verify_budget : int;
       (** conflicts for each step of the verification ladder (simulation,
@@ -35,30 +37,16 @@ type config = {
   sat_prune_deadline : float;
       (** wall-clock seconds per target before the exact search yields to
           its incumbent *)
-  sweep_patches : bool;
-      (** SAT-sweep structural patch circuits before reporting/improving
-          them (the ABC-resynthesis step of the paper's flow) *)
   patch_deadline : float;
       (** wall-clock seconds per target for cube enumeration before the
           engine falls back to the structural path *)
-  exact_synth : bool;
-      (** resynthesize every committed patch with ≤ 6 support inputs by
-          SAT-exact synthesis ({!Synth.Exact}), run with the factored
-          circuit's depth as a hard bound so gates strictly drop and depth
-          never grows.  The improved circuit is BDD-verified against the
-          patch SOP before it replaces the factored one, and only the
-          {e reported} patch changes — the miter always receives the
-          factored circuit, so statuses, costs and SAT trajectories are
-          identical with the flag on or off. *)
-  rewrite : bool;
-      (** DAG-aware 4-input-cut rewriting ({!Synth.Rewrite}) for patches
-          exact synthesis cannot reach (> 6 inputs, or budget-out).  Same
-          commit-time-only, Pareto-guarded, BDD-verified discipline as
-          [exact_synth]. *)
-  synth_gate_weight : int;
-      (** α of the rewrite acceptance cost [α·gates + β·depth] *)
-  synth_depth_weight : int;
-      (** β of the rewrite acceptance cost *)
+  resynth : bool;
+      (** run {!Patch.improve} (exact synthesis, then DAG-aware rewriting)
+          over the final patch list once, in the [synth] telemetry phase,
+          before verification.  The miter only ever receives the
+          unimproved circuits, so statuses, costs and SAT trajectories are
+          identical with the switch on or off; only the reported patch
+          circuits (gates, depth) shrink. *)
 }
 
 val config_of_method : method_ -> config

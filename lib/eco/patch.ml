@@ -75,16 +75,8 @@ let sweep ?(deadline = Deadline.never) p =
     make ?sop:p.sop ~target:p.target ~support:p.support swept
   end
 
-type synth_opts = {
-  exact : bool;
-  rewrite : bool;
-  gate_weight : int;
-  depth_weight : int;
-  budget : int;
-}
-
-let default_synth_opts =
-  { exact = false; rewrite = false; gate_weight = 4; depth_weight = 1; budget = 5_000 }
+(* Conflict budget per synthesis SAT call. *)
+let synth_budget = 5_000
 
 let tc_synth_attempts = Telemetry.Counter.make "synth.patch.attempts"
 let tc_synth_improved = Telemetry.Counter.make "synth.patch.improved"
@@ -127,13 +119,13 @@ let verified_equal p candidate =
   end
 
 (* A candidate one-output manager, or [None] to keep the incumbent. *)
-let exact_candidate ~deadline opts p =
+let exact_candidate ~deadline p =
   let k = List.length p.support in
-  if (not opts.exact) || k > 6 || p.gates <= 1 then None
+  if k > 6 || p.gates <= 1 then None
   else begin
     let tt = Synth.Tt.of_aig p.circuit (Aig.output p.circuit 0) in
     match
-      Synth.Exact.synthesize ~budget:opts.budget
+      Synth.Exact.synthesize ~budget:synth_budget
         ~max_gates:(min 10 (p.gates - 1))
         ~depth_bound:p.depth ~deadline tt
     with
@@ -141,16 +133,8 @@ let exact_candidate ~deadline opts p =
     | None -> None
   end
 
-let rewrite_candidate ~deadline opts p =
-  if not opts.rewrite then None
-  else
-    Some
-      (Synth.Rewrite.run ~gate_weight:opts.gate_weight
-         ~depth_weight:opts.depth_weight ~budget:opts.budget ~deadline p.circuit)
-
-let improve ?(deadline = Deadline.never) opts p =
-  if (not opts.exact) && not opts.rewrite then p
-  else if Deadline.expired deadline then p
+let improve ?(deadline = Deadline.never) p =
+  if Deadline.expired deadline then p
   else begin
     (* Wall-clock cap per patch, mirroring [sweep]: exact synthesis spends
        most of its time proving the last gate counts infeasible, which is
@@ -179,7 +163,7 @@ let improve ?(deadline = Deadline.never) opts p =
       end
     in
     let exact_result =
-      match exact_candidate ~deadline opts p with
+      match exact_candidate ~deadline p with
       | Some c -> accept tc_synth_exact_wins c
       | None -> None
     in
@@ -187,8 +171,7 @@ let improve ?(deadline = Deadline.never) opts p =
     | Some p' -> p'
     | None -> (
       (* Exact synthesis found the optimum or nothing; rewriting can still
-         help when exact was off, out of scope (> 6 inputs) or timed out. *)
-      match rewrite_candidate ~deadline opts p with
-      | Some c -> ( match accept tc_synth_rewrite_wins c with Some p' -> p' | None -> p)
-      | None -> p)
+         help when it was out of scope (> 6 inputs) or timed out. *)
+      let c = Synth.Rewrite.run ~budget:synth_budget ~deadline p.circuit in
+      match accept tc_synth_rewrite_wins c with Some p' -> p' | None -> p)
   end

@@ -46,25 +46,15 @@ val sweep : ?deadline:Deadline.t -> t -> t
 
 (** {2 Resynthesis} *)
 
-type synth_opts = {
-  exact : bool;  (** SAT-exact synthesis for patches with ≤ 6 support inputs *)
-  rewrite : bool;  (** DAG-aware cut rewriting for larger patches *)
-  gate_weight : int;  (** α of the [α·gates + β·depth] rewrite cost *)
-  depth_weight : int;  (** β of the [α·gates + β·depth] rewrite cost *)
-  budget : int;  (** conflict budget per synthesis SAT call *)
-}
-
-val default_synth_opts : synth_opts
-(** Both passes off; [gate_weight = 4], [depth_weight = 1],
-    [budget = 5_000] — the ABC-like default of trading up to four
-    levels for one gate. *)
-
-val improve : ?deadline:Deadline.t -> synth_opts -> t -> t
-(** [improve opts p] re-synthesizes the patch circuit: exact synthesis
-    when the support fits in 6 inputs (run with [p]'s depth as a hard
-    bound), DAG-aware rewriting otherwise.  The result replaces [p]'s
-    circuit only when it Pareto-improves [(gates, depth)] {e and} a BDD
-    equivalence check against the patch SOP (or, failing that, the old
-    circuit) passes; on any doubt — budget exhaustion, verification
-    mismatch, support too wide to verify — [p] is returned unchanged.
-    Support, cost and SOP metadata are preserved. *)
+val improve : ?deadline:Deadline.t -> t -> t
+(** [improve p] re-synthesizes the patch circuit: exact synthesis when
+    the support fits in 6 inputs (run with [p]'s depth as a hard bound),
+    then, when that yields nothing accepted, DAG-aware rewriting under
+    the [4·gates + 1·depth] cut cost.  Each synthesis SAT call gets 5,000
+    conflicts and the whole call at most 5 seconds, clamped to
+    [deadline].  The result replaces [p]'s circuit only when it
+    Pareto-improves [(gates, depth)] {e and} a BDD equivalence check
+    against the patch SOP (or, failing that, the old circuit) passes; on
+    any doubt — budget exhaustion, verification mismatch, support too
+    wide to verify — [p] is returned unchanged.  Support, cost and SOP
+    metadata are preserved.  Effort lands in the [synth.*] counters. *)

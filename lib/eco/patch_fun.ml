@@ -1,6 +1,5 @@
 type result = {
   patch : Patch.t;
-  raw_patch : Patch.t;
   cubes_enumerated : int;
   sat_calls : int;
 }
@@ -36,7 +35,7 @@ let index_table lits =
     | None -> invalid_arg "Patch_fun: unknown literal"
 
 let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 0.0)
-    ?(synth = Patch.default_synth_opts) (miter : Miter.t) ~m_i ~target ~chosen =
+    (miter : Miter.t) ~m_i ~target ~chosen =
   let stop_at = Deadline.after deadline in
   let divisors = Array.of_list (List.map (fun i -> miter.Miter.divisors.(i)) chosen) in
   let support =
@@ -146,13 +145,9 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 
       else Twolevel.Sop.scc_minimize (Twolevel.Sop.create k (List.rev !cubes))
     in
     let expr = Twolevel.Factor.factor sop in
-    let raw_patch = Patch.of_expr ~sop ~target ~support expr in
-    (* Resynthesis happens after the certification-relevant work: the
-       improved circuit is BDD-verified against the SOP inside
-       [Patch.improve] and never substituted into the miter. *)
-    let patch = Patch.improve ~deadline:stop_at synth raw_patch in
+    let patch = Patch.of_expr ~sop ~target ~support expr in
     Telemetry.Counter.incr tc_runs;
     Telemetry.Counter.add tc_cubes !n_cubes;
     Telemetry.Counter.add tc_sat_calls (sat_calls ());
-    { patch; raw_patch; cubes_enumerated = !n_cubes; sat_calls = sat_calls () }
+    { patch; cubes_enumerated = !n_cubes; sat_calls = sat_calls () }
   with Min_assume.Budget_exhausted -> give_up ()

@@ -9,13 +9,10 @@
     general interpolation needed. *)
 
 type result = {
-  patch : Patch.t;  (** the patch to commit — resynthesized when [synth] asks *)
-  raw_patch : Patch.t;
-      (** the factored patch exactly as enumerated.  Substituting this one
-          into the miter keeps every downstream CDCL trajectory (later
-          targets, verification) independent of the resynthesis flags;
-          [patch] and [raw_patch] are verified equivalent before they
-          diverge, so either is sound to substitute. *)
+  patch : Patch.t;
+      (** the factored patch exactly as enumerated; the engine substitutes
+          and commits it ({!Engine.solve} resynthesizes the final patch
+          list, if asked, without touching the miter) *)
   cubes_enumerated : int;
   sat_calls : int;
 }
@@ -35,7 +32,6 @@ val compute :
   ?certify:bool ->
   ?max_cubes:int ->
   ?deadline:float ->
-  ?synth:Patch.synth_opts ->
   Miter.t ->
   m_i:Aig.lit ->
   target:string ->
@@ -47,11 +43,6 @@ val compute :
     inconsistency and raises [Failure].  Raises {!Exhausted} (with the
     partial effort counts) on conflict-budget timeout, cube-cap overflow,
     or when [deadline] (wall-clock seconds, see {!Deadline}) passes.
-
-    With [?synth] ({!Patch.synth_opts}), the factored patch is additionally
-    run through {!Patch.improve} (exact synthesis / DAG-aware rewriting)
-    under the same deadline; the improved circuit is returned as [patch]
-    and the original as [raw_patch].  Without it the two fields are equal.
 
     With [~certify:true], every accepted prime's offset-UNSAT core and the
     terminating onset-UNSAT verdict are independently certified (see

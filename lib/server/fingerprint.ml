@@ -66,10 +66,9 @@ let canon_weights w =
 
 let options_canon (o : Request.options) =
   Printf.sprintf
-    "method=%s;certify=%b;structural=%b;verify=%b;budget=%d;exact=%b;rewrite=%b;gw=%d;dw=%d"
+    "method=%s;certify=%b;structural=%b;verify=%b;budget=%d;resynth=%b"
     (Request.method_name o.Request.method_)
-    o.Request.certify o.Request.structural o.Request.verify o.Request.budget
-    o.Request.exact_synth o.Request.rewrite o.Request.gate_weight o.Request.depth_weight
+    o.Request.certify o.Request.structural o.Request.verify o.Request.budget o.Request.resynth
 
 let netlist_side h nl ~targets =
   let conv = Netlist.Convert.to_aig nl in

@@ -4,10 +4,7 @@ type options = {
   structural : bool;
   verify : bool;
   budget : int;
-  exact_synth : bool;
-  rewrite : bool;
-  gate_weight : int;
-  depth_weight : int;
+  resynth : bool;
   no_cache : bool;
 }
 
@@ -18,10 +15,7 @@ let default_options =
     structural = false;
     verify = true;
     budget = 0;
-    exact_synth = false;
-    rewrite = false;
-    gate_weight = 4;
-    depth_weight = 1;
+    resynth = false;
     no_cache = false;
   }
 
@@ -101,22 +95,20 @@ let parse_options obj =
     | Some b when b >= 0 -> b
     | Some b -> bad "field \"budget\" must be non-negative, got %d" b
   in
-  let get_weight key ~default =
-    match get_int_opt obj key with
-    | None -> default
-    | Some w when w >= 0 -> w
-    | Some w -> bad "field %S must be non-negative, got %d" key w
-  in
+  (* The four keys [resynth] replaced: ignoring [exact_synth: true] would
+     silently return unimproved patches, so they are refused instead. *)
+  List.iter
+    (fun key ->
+      if Jsonx.member key obj <> None then
+        bad "field %S is retired; use \"resynth\": true (exact synthesis + rewriting)" key)
+    [ "exact_synth"; "rewrite"; "gate_weight"; "depth_weight" ];
   {
     method_;
     certify = get_bool obj "certify" ~default:false;
     structural = get_bool obj "structural" ~default:false;
     verify = get_bool obj "verify" ~default:true;
     budget;
-    exact_synth = get_bool obj "exact_synth" ~default:false;
-    rewrite = get_bool obj "rewrite" ~default:false;
-    gate_weight = get_weight "gate_weight" ~default:default_options.gate_weight;
-    depth_weight = get_weight "depth_weight" ~default:default_options.depth_weight;
+    resynth = get_bool obj "resynth" ~default:false;
     no_cache = get_bool obj "no_cache" ~default:false;
   }
 
@@ -233,23 +225,12 @@ let resolve source =
 
 let config_of_options o =
   let c = Eco.Engine.config_of_method o.method_ in
-  let c =
-    {
-      c with
-      Eco.Engine.certify = o.certify;
-      verify = o.verify;
-      exact_synth = o.exact_synth;
-      rewrite = o.rewrite;
-      synth_gate_weight = o.gate_weight;
-      synth_depth_weight = o.depth_weight;
-    }
-  in
+  let c = { c with Eco.Engine.certify = o.certify; verify = o.verify; resynth = o.resynth } in
   let c =
     if o.budget > 0 then { c with Eco.Engine.sat_budget = o.budget; feasibility_budget = o.budget }
     else c
   in
-  if o.structural then
-    { c with Eco.Engine.force_structural = true; use_qbf = false; verify_budget = 10_000 }
+  if o.structural then { c with Eco.Engine.force_structural = true; verify_budget = 10_000 }
   else c
 
 (* {2 Rendering} *)
@@ -332,14 +313,7 @@ let spec_to_json { source; options = o } =
     @ flag "structural" o.structural
     @ (if o.verify then [] else [ ("verify", Jsonx.Bool false) ])
     @ (if o.budget > 0 then [ ("budget", Jsonx.Int o.budget) ] else [])
-    @ flag "exact_synth" o.exact_synth
-    @ flag "rewrite" o.rewrite
-    @ (if o.gate_weight <> default_options.gate_weight then
-         [ ("gate_weight", Jsonx.Int o.gate_weight) ]
-       else [])
-    @ (if o.depth_weight <> default_options.depth_weight then
-         [ ("depth_weight", Jsonx.Int o.depth_weight) ]
-       else [])
+    @ flag "resynth" o.resynth
     @ flag "no_cache" o.no_cache)
 
 let to_json ?(id = Jsonx.Null) ?deadline_ms request =

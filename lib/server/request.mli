@@ -19,10 +19,10 @@ type options = {
           does for suite units flagged structural *)
   verify : bool;
   budget : int;  (** conflicts per SAT call; 0 = library default *)
-  exact_synth : bool;  (** SAT-exact resynthesis of ≤ 6-input patches *)
-  rewrite : bool;  (** DAG-aware cut rewriting of larger patches *)
-  gate_weight : int;  (** α of the rewrite cost [α·gates + β·depth] *)
-  depth_weight : int;  (** β of the rewrite cost *)
+  resynth : bool;
+      (** resynthesize the final patches (exact synthesis, then
+          rewriting); the four synthesis keys it replaced are rejected as
+          [Bad_request] (see PROTOCOL.md) *)
   no_cache : bool;  (** bypass the server's outcome cache for this job *)
 }
 
@@ -89,9 +89,9 @@ val resolve : source -> (Eco.Instance.t, string) result
 
 val config_of_options : options -> Eco.Engine.config
 (** Method defaults plus the option overrides; the [structural] override
-    additionally disables 2QBF and trims [verify_budget] to 10k
-    conflicts, mirroring [eco_cli batch]'s handling of structural
-    units. *)
+    forces the structural path and trims [verify_budget] to 10k
+    conflicts.  Every front end ([eco_cli solve]/[batch], the server, the
+    bench drivers) maps its options to an engine config through here. *)
 
 val render_outcome : name:string -> Eco.Engine.outcome -> Jsonx.t
 (** The deterministic ["result"] object of a solve response: status,

@@ -103,8 +103,12 @@ type impl =
   | Leaf of int * bool
   | Network of int array * Exact.solution
 
-let run ?(gate_weight = 4) ?(depth_weight = 1) ?(budget = 5_000)
-    ?(deadline = Deadline.never) src =
+(* Weights of the local candidate cost [α·Δgates + β·Δdepth]: trade up to
+   four levels for one gate, the ABC-like default. *)
+let gate_weight = 4
+let depth_weight = 1
+
+let run ?(budget = 5_000) ?(deadline = Deadline.never) src =
   Telemetry.Counter.incr tc_runs;
   let n = Aig.num_nodes src in
   let refs = Aig.fanout_counts src in

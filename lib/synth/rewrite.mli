@@ -6,8 +6,8 @@
     tabulates each cut function, asks {!Table} for an optimal
     replacement, and scores it as
 
-    {[ gate_weight · (gates added − MFFC gates freed)
-       + depth_weight · (new level − old level) ]}
+    {[ 4 · (gates added − MFFC gates freed)
+       + 1 · (new level − old level) ]}
 
     where the freed gates are counted by a deref/reref walk of the cut's
     maximum fanout-free cone — the ABC-style gain measure that makes the
@@ -24,14 +24,11 @@
     engine cannot crack fall back to the default reconstruction. *)
 
 val run :
-  ?gate_weight:int ->
-  ?depth_weight:int ->
   ?budget:int ->
   ?deadline:Deadline.t ->
   Aig.t ->
   Aig.t
 (** [run src] returns a functionally-equivalent rebuild of [src] (same
-    inputs in order, same outputs in order).  [gate_weight] (default 4)
-    and [depth_weight] (default 1) weight the local candidate cost;
-    [budget] (default 5_000) bounds each lazy table-fill SAT call; once
-    [deadline] expires the remaining nodes are rebuilt verbatim. *)
+    inputs in order, same outputs in order).  [budget] (default 5_000)
+    bounds each lazy table-fill SAT call; once [deadline] expires the
+    remaining nodes are rebuilt verbatim. *)

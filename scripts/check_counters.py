@@ -20,7 +20,7 @@ Checked per row:
     baseline must be regenerated, so the gate fails with the name diff
     rather than comparing a renamed counter against 0.  Counters under
     the prefixes in INFO_PREFIXES are exempt: they only appear when the
-    matching mode flag is on (e.g. synth.* under --exact-synth), so
+    matching mode flag is on (e.g. synth.* under --resynth), so
     their presence tracks the run configuration rather than the
     instrumentation, and they measure optimisation progress, not solver
     effort — they are never gated and never trip the name-set check.
@@ -77,7 +77,7 @@ INFO_PREFIXES = [
     "diff.",
     "gen.",
     # Patch resynthesis effort (exact synthesis SAT calls, table hits,
-    # rewrite cut statistics): present only under --exact-synth/--rewrite
+    # rewrite cut statistics): present only under --resynth
     # and measuring optimisation progress, not solver effort.  The
     # synthesis CI gate asserts the substance (gates strictly lower,
     # depth no higher, statuses identical).

@@ -251,8 +251,7 @@ let redundant_patch () =
 
 let test_improve_exact () =
   let p = redundant_patch () in
-  let opts = { Eco.Patch.default_synth_opts with Eco.Patch.exact = true } in
-  let p' = Eco.Patch.improve opts p in
+  let p' = Eco.Patch.improve p in
   Alcotest.(check int) "optimal size" 1 p'.Eco.Patch.gates;
   Alcotest.(check bool) "depth never grows" true (p'.Eco.Patch.depth <= p.Eco.Patch.depth);
   Alcotest.(check (list (pair string int))) "support intact" p.Eco.Patch.support
@@ -265,13 +264,43 @@ let test_improve_exact () =
         (Eco.Patch.eval p' [| x; y |]))
     [ (false, false); (false, true); (true, false); (true, true) ]
 
-let test_improve_off_is_identity () =
-  let p = redundant_patch () in
-  let p' = Eco.Patch.improve Eco.Patch.default_synth_opts p in
-  Alcotest.(check bool) "no flags, no change" true (p == p')
+(* The engine's one resynthesis site: [resynth] changes only the reported
+   circuits, and its effort shows up as its own phase. *)
+let test_engine_resynth () =
+  let inst = Gen.Suite.instantiate (Gen.Suite.find "unit10") in
+  let run resynth =
+    Telemetry.reset ();
+    let config =
+      {
+        (Eco.Engine.config_of_method Eco.Engine.Exact) with
+        Eco.Engine.force_structural = true;
+        resynth;
+      }
+    in
+    let o = Eco.Engine.solve ~config inst in
+    let synth_phase =
+      List.exists
+        (fun s -> s.Telemetry.path = "eco/synth" && s.Telemetry.calls > 0)
+        (Telemetry.phases ())
+    in
+    (o, synth_phase)
+  in
+  let off, off_phase = run false in
+  let on, on_phase = run true in
+  Alcotest.(check bool) "same status" true (off.Eco.Engine.status = on.Eco.Engine.status);
+  Alcotest.(check int) "same cost" off.Eco.Engine.cost on.Eco.Engine.cost;
+  Alcotest.(check (option bool)) "same verdict" off.Eco.Engine.verified on.Eco.Engine.verified;
+  Alcotest.(check (option bool)) "verified" (Some true) on.Eco.Engine.verified;
+  Alcotest.(check bool)
+    (Printf.sprintf "gates %d -> %d shrink" off.Eco.Engine.gates on.Eco.Engine.gates)
+    true
+    (on.Eco.Engine.gates < off.Eco.Engine.gates);
+  Alcotest.(check bool) "depth never grows" true (on.Eco.Engine.depth <= off.Eco.Engine.depth);
+  Alcotest.(check bool) "no synth phase when off" false off_phase;
+  Alcotest.(check bool) "synth phase when on" true on_phase
 
 let improve_fuzz =
-  (* Random SOP → factored patch → improve with both passes: the result
+  (* Random SOP → factored patch → improve: the result
      must stay semantically equal to the SOP and Pareto-dominate or equal
      the factored circuit on (gates, depth).  This is the commit rule the
      engine relies on for the "gates never grow" CI gate. *)
@@ -290,10 +319,7 @@ let improve_fuzz =
         let expr = Twolevel.Factor.factor sop in
         let support = List.init k (fun i -> (Printf.sprintf "d%d" i, 1)) in
         let p = Eco.Patch.of_expr ~sop ~target:"t" ~support expr in
-        let opts =
-          { Eco.Patch.default_synth_opts with Eco.Patch.exact = true; rewrite = true }
-        in
-        let p' = Eco.Patch.improve opts p in
+        let p' = Eco.Patch.improve p in
         p'.Eco.Patch.gates <= p.Eco.Patch.gates
         && p'.Eco.Patch.depth <= p.Eco.Patch.depth
         && List.for_all
@@ -371,7 +397,7 @@ let () =
       ( "patch",
         [
           Alcotest.test_case "improve: exact" `Quick test_improve_exact;
-          Alcotest.test_case "improve: flags off" `Quick test_improve_off_is_identity;
+          Alcotest.test_case "engine: resynth switch" `Quick test_engine_resynth;
           improve_fuzz;
           Alcotest.test_case "import_into order" `Quick test_import_into_order;
           Alcotest.test_case "sweep: expired deadline" `Quick test_sweep_expired_deadline;
