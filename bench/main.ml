@@ -20,7 +20,9 @@
    dune exec bench/main.exe serve-stress -- the smoke units against a
                                             live server (see below)
 
-   Options (anywhere in argv):
+   Options (anywhere in argv; an unknown option, a second experiment
+   name or a value option without its value is a one-line error with
+   exit code 2, before anything runs or any JSON is written):
    --no-simplify   disable SatELite-style CNF preprocessing in every SAT
                    call, for A/B counter comparisons
    -j N            run the Table 1 sweep on N worker domains (default 1;
@@ -33,10 +35,6 @@
                    (models re-evaluated, UNSAT proofs replayed); prints a
                    certification summary and exits non-zero if any check
                    fails
-   --resynth       resynthesize the final patches (exact synthesis of
-                   ≤ 6-input patches, then cut rewriting); statuses and
-                   costs are identical with the flag on or off, gates/depth
-                   drop
    --json FILE     write the Table 1 telemetry JSON here
                    (default BENCH_table1.json)
 
@@ -63,47 +61,58 @@ let smoke_units =
     (fun (s : Gen.Suite.unit_spec) -> not (List.mem s.Gen.Suite.id [ 14; 17; 20 ]))
     fast_units
 
+let usage fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+let positive flag n =
+  match int_of_string_opt n with
+  | Some n when n >= 1 -> n
+  | _ -> usage "%s expects a positive integer, got %S" flag n
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--no-simplify" args then Sat.Simplify.enabled := false;
-  let verify = not (List.mem "--no-verify" args) in
-  let certify = List.mem "--certify" args in
-  let resynth = List.mem "--resynth" args in
-  (* Consume "-j N" / "--json FILE" pairs (and "-jN"), leaving the
-     experiment name. *)
+  let no_simplify = ref false in
+  let verify = ref true in
+  let certify = ref false in
+  let no_cache = ref false in
+  let smoke = ref false in
   let jobs = ref 1 in
-  let json = ref "BENCH_table1.json" in
+  let json = ref None in
   let socket = ref None in
   let repeat = ref 2 in
-  let no_cache = List.mem "--no-cache" args in
-  let smoke = List.mem "--smoke" args in
   let only = ref None in
-  let rec strip = function
-    | [] -> []
-    | "-j" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> jobs := n; strip rest
-      | _ -> Printf.eprintf "-j expects a positive integer, got %S\n" n; exit 2)
-    | "--json" :: path :: rest -> json := path; strip rest
-    | "--units" :: names :: rest ->
-      only := Some (String.split_on_char ',' names);
-      strip rest
-    | "--socket" :: addr :: rest -> socket := Some addr; strip rest
-    | "--repeat" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> repeat := n; strip rest
-      | _ -> Printf.eprintf "--repeat expects a positive integer, got %S\n" n; exit 2)
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" -> (
-      match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
-      | Some n when n >= 1 -> jobs := n; strip rest
-      | _ -> Printf.eprintf "bad option %S\n" a; exit 2)
-    | ("--no-simplify" | "--no-verify" | "--certify" | "--no-cache" | "--smoke" | "--resynth")
-      :: rest -> strip rest
-    | a :: rest -> a :: strip rest
+  let what = ref None in
+  let set_value flag v =
+    match flag with
+    | "-j" -> jobs := positive flag v
+    | "--json" -> json := Some v
+    | "--units" -> only := Some (String.split_on_char ',' v)
+    | "--socket" -> socket := Some v
+    | _ -> repeat := positive flag v
   in
-  let what = match strip args with [] -> "all" | w :: _ -> w in
-  let jobs = !jobs in
-  let json = !json in
+  let rec parse = function
+    | [] -> ()
+    | "--no-simplify" :: rest -> no_simplify := true; parse rest
+    | "--no-verify" :: rest -> verify := false; parse rest
+    | "--certify" :: rest -> certify := true; parse rest
+    | "--no-cache" :: rest -> no_cache := true; parse rest
+    | "--smoke" :: rest -> smoke := true; parse rest
+    | (("-j" | "--json" | "--units" | "--socket" | "--repeat") as flag) :: rest -> (
+      match rest with
+      | v :: rest when not (String.starts_with ~prefix:"-" v) -> set_value flag v; parse rest
+      | _ -> usage "%s expects a value" flag)
+    | a :: rest when String.starts_with ~prefix:"-j" a ->
+      jobs := positive "-j" (String.sub a 2 (String.length a - 2));
+      parse rest
+    | a :: _ when String.starts_with ~prefix:"-" a -> usage "unknown option %S" a
+    | a :: rest -> (
+      match !what with
+      | None -> what := Some a; parse rest
+      | Some w -> usage "unexpected argument %S after experiment %S" a w)
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  if !no_simplify then Sat.Simplify.enabled := false;
+  let what = Option.value !what ~default:"all" in
+  let verify = !verify and certify = !certify and jobs = !jobs in
+  let json_or default = Option.value !json ~default in
   (* The experiment's own unit list, or the --units selection. *)
   let units_or default =
     match !only with
@@ -113,13 +122,11 @@ let () =
         (fun name ->
           match Gen.Suite.find name with
           | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf "unknown unit %S\n" name;
-            exit 2)
+          | exception Not_found -> usage "unknown unit %S" name)
         names
   in
   let table1 units =
-    ignore (Table1.run ~units ~json ~jobs ~verify ~certify ~resynth ());
+    ignore (Table1.run ~units ~json:(json_or "BENCH_table1.json") ~jobs ~verify ~certify ());
     if certify then begin
       let snap = Telemetry.snapshot () in
       let get n = match List.assoc_opt n snap with Some v -> v | None -> 0 in
@@ -141,15 +148,15 @@ let () =
   | "ablationE" -> Ablations.ablation_e ()
   | "micro" -> Micro.run ()
   | "discovery" ->
-    let json = if json = "BENCH_table1.json" then "BENCH_discovery.json" else json in
-    let units = units_or (if smoke then smoke_units else Gen.Suite.all) in
-    let failures = Discovery.run ~units ~json ~jobs ~gate:smoke () in
+    let units = units_or (if !smoke then smoke_units else Gen.Suite.all) in
+    let failures =
+      Discovery.run ~units ~json:(json_or "BENCH_discovery.json") ~jobs ~gate:!smoke ()
+    in
     if failures > 0 then exit 1
   | "serve-stress" ->
-    let json = if json = "BENCH_table1.json" then "BENCH_stress.json" else json in
     let failures =
-      Stress.run ~units:(units_or smoke_units) ~socket:!socket ~jobs ~repeat:!repeat ~no_cache
-        ~certify ~json ()
+      Stress.run ~units:(units_or smoke_units) ~socket:!socket ~jobs ~repeat:!repeat
+        ~no_cache:!no_cache ~certify ~json:(json_or "BENCH_stress.json") ()
     in
     if failures > 0 then exit 1
   | "all" ->
@@ -157,8 +164,7 @@ let () =
     Ablations.run_all ();
     Micro.run ()
   | other ->
-    Printf.eprintf
+    usage
       "unknown experiment %S (table1 | table1-fast | table1-smoke | ablations | ablationA..E | \
-       micro | discovery | serve-stress | all)\n"
-      other;
-    exit 2
+       micro | discovery | serve-stress | all)"
+      other

@@ -6,7 +6,7 @@
 
 (* One solved unit x configuration outcome.  [depth] is the maximum
    structural depth over the unit's patches — it rides along with [gates]
-   so a --resynth run is gated on both axes (gates and depth never grow). *)
+   so the counter gate checks both axes (gates and depth never grow). *)
 type res = { cost : int; gates : int; depth : int; time : float; verified : bool option }
 
 type row = {
@@ -28,15 +28,13 @@ let method_names = [| "w/o minimize_assumptions"; "w/ minimize_assumptions"; "SA
    option also keeps their verification budget small, so the wall clock
    stays bounded (the simulation pre-pass still guards against wrong
    patches). *)
-let config_for ?(verify = true) ?(certify = false) ?(resynth = false)
-    (spec : Gen.Suite.unit_spec) method_ =
+let config_for ?(verify = true) ?(certify = false) (spec : Gen.Suite.unit_spec) method_ =
   Server.Request.config_of_options
     {
       Server.Request.default_options with
       Server.Request.method_;
       certify;
       verify;
-      resynth;
       structural = spec.Gen.Suite.structural;
     }
 
@@ -45,7 +43,7 @@ let config_for ?(verify = true) ?(certify = false) ?(resynth = false)
    unit's solver effort to its row even while other units run concurrently
    (and in a sequential run the diffs coincide with global-snapshot
    diffs). *)
-let run_unit ?(progress = true) ?verify ?certify ?resynth (spec : Gen.Suite.unit_spec) =
+let run_unit ?(progress = true) ?verify ?certify (spec : Gen.Suite.unit_spec) =
   let inst = Gen.Suite.instantiate spec in
   let counters = Array.make (Array.length methods) [] in
   let results =
@@ -57,7 +55,7 @@ let run_unit ?(progress = true) ?verify ?certify ?resynth (spec : Gen.Suite.unit
             | Eco.Engine.Baseline -> "baseline"
             | Eco.Engine.Min_assume -> "min_assume"
             | Eco.Engine.Exact -> "exact");
-        let config = config_for ?verify ?certify ?resynth spec m in
+        let config = config_for ?verify ?certify spec m in
         let before = Telemetry.local_snapshot () in
         let outcome =
           match Eco.Engine.solve ~config inst with
@@ -187,15 +185,14 @@ let failed_row (spec : Gen.Suite.unit_spec) exn =
     counters = Array.make (Array.length methods) [];
   }
 
-let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?verify ?certify
-    ?resynth () =
+let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?verify ?certify () =
   Printf.printf "\n=== Table 1: ICCAD'17-style suite, three configurations ===\n";
   if jobs > 1 then Printf.eprintf "  (parallel sweep: %d worker domains)\n%!" jobs;
   let rows =
     List.map2
       (fun spec -> function Ok row -> row | Error e -> failed_row spec e)
       units
-      (Pool.map ~jobs (run_unit ?verify ?certify ?resynth) units)
+      (Pool.map ~jobs (run_unit ?verify ?certify) units)
   in
   print_rows rows;
   write_json json rows;

@@ -137,11 +137,8 @@ let solve_cmd =
   let discover =
     Arg.(value & flag & info [ "discover" ] ~doc:"Discover the target signals first by SAT-based diffing of the implementation against the specification ($(b,--target) becomes optional; any given targets are ignored), then solve for the discovered set.  The discovered targets are advisory: the solve re-establishes feasibility and the patch is verified as usual.")
   in
-  let resynth =
-    Arg.(value & flag & info [ "resynth" ] ~doc:"Resynthesize the final patches: SAT-exact synthesis of patches with at most 6 support inputs (minimum AND count under the factored circuit's depth as a hard bound), then DAG-aware 4-input-cut rewriting, each result BDD-verified against the patch SOP and kept only if it Pareto-improves gates/depth.  Statuses, costs and SAT trajectories are unchanged; only the reported patch circuits shrink.  Effort lands in the $(b,synth) phase and the synth.* counters.")
-  in
   let run impl_file spec_file targets unit_name weights method_ structural out budget stats trace
-      no_simplify certify discover resynth =
+      no_simplify certify discover =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if budget < 0 then usage "--budget expects a non-negative conflict count";
@@ -178,7 +175,6 @@ let solve_cmd =
         certify;
         structural;
         budget;
-        resynth;
       }
     in
     let config = Server.Request.config_of_options options in
@@ -209,7 +205,7 @@ let solve_cmd =
     Term.(
       const run $ impl_file $ spec_file $ targets $ unit_name $ weights $ method_ $ structural
       $ out $ budget $ stats $ trace $ no_simplify $ certify
-      $ discover $ resynth)
+      $ discover)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute ECO patch functions for the given targets.") term
 
@@ -273,10 +269,7 @@ let batch_cmd =
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict of every unit; the batch fails if any check fails.")
   in
-  let resynth =
-    Arg.(value & flag & info [ "resynth" ] ~doc:"Resynthesize the final patches of every unit (exact synthesis, then rewriting; statuses and costs are unchanged).")
-  in
-  let run units jobs method_ no_verify no_simplify stats certify resynth =
+  let run units jobs method_ no_verify no_simplify stats certify =
     protect @@ fun () ->
     if no_simplify then Sat.Simplify.enabled := false;
     if jobs < 1 then usage "-j expects a positive worker count";
@@ -299,7 +292,6 @@ let batch_cmd =
           certify;
           structural = spec.Gen.Suite.structural;
           verify = not no_verify;
-          resynth;
         }
     in
     let solve_unit spec =
@@ -346,7 +338,7 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Solve a list of benchmark units, optionally in parallel over worker domains.")
-    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify $ resynth)
+    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify)
 
 (* {2 suite} *)
 
@@ -491,9 +483,6 @@ let client_cmd =
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Ask the server to bypass its outcome cache for this job.")
   in
-  let resynth =
-    Arg.(value & flag & info [ "resynth" ] ~doc:"Ask the server to resynthesize the final patches (exact synthesis, then rewriting).")
-  in
   let deadline_ms =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Fail the request with $(b,deadline_expired) if its job cannot start within $(docv) milliseconds.")
   in
@@ -507,7 +496,7 @@ let client_cmd =
     Arg.(value & flag & info [ "discover" ] ~doc:"Send a $(b,discover) request: the server diffs the implementation against the specification and returns the discovered target set ($(b,--target) becomes optional).")
   in
   let run socket units unit_name impl_file spec_file targets weights method_ certify structural
-      budget no_cache resynth deadline_ms stats_op shutdown_op discover_op =
+      budget no_cache deadline_ms stats_op shutdown_op discover_op =
     protect @@ fun () ->
     if budget < 0 then usage "--budget expects a non-negative conflict count";
     let address = parse_address socket in
@@ -519,7 +508,6 @@ let client_cmd =
         structural;
         budget;
         no_cache;
-        resynth;
       }
     in
     let request =
@@ -594,7 +582,7 @@ let client_cmd =
        ~doc:"Send one request (solve, batch, stats or shutdown) to a running $(b,serve) instance and print the JSON response.")
     Term.(
       const run $ socket_arg $ units $ unit_name $ impl_file $ spec_file $ targets $ weights
-      $ method_ $ certify $ structural $ budget $ no_cache $ resynth $ deadline_ms $ stats_op
+      $ method_ $ certify $ structural $ budget $ no_cache $ deadline_ms $ stats_op
       $ shutdown_op $ discover_op)
 
 (* {2 main} *)

@@ -12,7 +12,6 @@ type config = {
   max_cubes : int;
   sat_prune_deadline : float; (* seconds per target for the exact search *)
   patch_deadline : float; (* seconds per target for cube enumeration *)
-  resynth : bool; (* exact synthesis + rewriting of the final patches *)
 }
 
 let config_of_method m =
@@ -28,7 +27,6 @@ let config_of_method m =
     max_cubes = 50_000;
     sat_prune_deadline = 15.0;
     patch_deadline = 60.0;
-    resynth = false;
   }
 
 let default_config = config_of_method Min_assume
@@ -331,14 +329,6 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
   let sat_calls = ref 0 in
   let acc = ref [] in
   let finish ?miter status patches used_structural =
-    (* The one resynthesis site.  The miter already holds the unimproved
-       circuits, so its check is independent of [resynth]; the netlist
-       check below sees the committed (improved) ones. *)
-    let patches =
-      if config.resynth then
-        Telemetry.with_phase "synth" (fun () -> List.map (Patch.improve ~deadline) patches)
-      else patches
-    in
     (* Verification ladder: random simulation (inside Verify.check), then
        the substituted miter — whose two sides share structure, making the
        UNSAT proof far easier than a from-scratch CEC — then the full

@@ -40,13 +40,6 @@ type config = {
   patch_deadline : float;
       (** wall-clock seconds per target for cube enumeration before the
           engine falls back to the structural path *)
-  resynth : bool;
-      (** run {!Patch.improve} (exact synthesis, then DAG-aware rewriting)
-          over the final patch list once, in the [synth] telemetry phase,
-          before verification.  The miter only ever receives the
-          unimproved circuits, so statuses, costs and SAT trajectories are
-          identical with the switch on or off; only the reported patch
-          circuits (gates, depth) shrink. *)
 }
 
 val config_of_method : method_ -> config
@@ -78,9 +71,9 @@ type outcome = {
 val solve :
   ?config:config -> ?deadline:Deadline.t -> ?window:Window.t -> Instance.t -> outcome
 (** [?deadline] is the unit's remaining wall-clock budget (default
-    {!Deadline.never}): deadline-clamped phases (patch sweeping,
-    resynthesis) stop at whichever of their own cap or this deadline
-    comes first, so a nearly-expired unit cannot overshoot inside them.
+    {!Deadline.never}): patch sweeping, the only deadline-clamped phase,
+    stops at whichever of its own cap or this deadline comes first, so a
+    nearly-expired unit cannot overshoot inside it.
 
     [?window] overrides the computed rectification window — for callers
     that restrict the divisor candidates (tests, external windowing).  A

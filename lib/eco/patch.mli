@@ -43,18 +43,3 @@ val sweep : ?deadline:Deadline.t -> t -> t
     [deadline] (default {!Deadline.never}); an already-expired deadline
     skips the sweep entirely.  Sweep effort is booked under the
     [eco.sweep.*] counters. *)
-
-(** {2 Resynthesis} *)
-
-val improve : ?deadline:Deadline.t -> t -> t
-(** [improve p] re-synthesizes the patch circuit: exact synthesis when
-    the support fits in 6 inputs (run with [p]'s depth as a hard bound),
-    then, when that yields nothing accepted, DAG-aware rewriting under
-    the [4·gates + 1·depth] cut cost.  Each synthesis SAT call gets 5,000
-    conflicts and the whole call at most 5 seconds, clamped to
-    [deadline].  The result replaces [p]'s circuit only when it
-    Pareto-improves [(gates, depth)] {e and} a BDD equivalence check
-    against the patch SOP (or, failing that, the old circuit) passes; on
-    any doubt — budget exhaustion, verification mismatch, support too
-    wide to verify — [p] is returned unchanged.  Support, cost and SOP
-    metadata are preserved.  Effort lands in the [synth.*] counters. *)

@@ -11,8 +11,7 @@
 type result = {
   patch : Patch.t;
       (** the factored patch exactly as enumerated; the engine substitutes
-          and commits it ({!Engine.solve} resynthesizes the final patch
-          list, if asked, without touching the miter) *)
+          and commits it *)
   cubes_enumerated : int;
   sat_calls : int;
 }

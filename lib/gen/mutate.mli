@@ -32,7 +32,7 @@ val pick_targets : rand:Random.State.t -> Netlist.t -> int -> string list
     all. *)
 
 val restructure : Netlist.t -> Netlist.t
-(** Structure-destroying resynthesis: netlist -> AIG -> netlist, keeping
+(** Structure-destroying rebuild: netlist -> AIG -> netlist, keeping
     primary input and output names. *)
 
 val make_instance :

@@ -4,7 +4,6 @@ type options = {
   structural : bool;
   verify : bool;
   budget : int;
-  resynth : bool;
   no_cache : bool;
 }
 
@@ -15,7 +14,6 @@ let default_options =
     structural = false;
     verify = true;
     budget = 0;
-    resynth = false;
     no_cache = false;
   }
 
@@ -95,20 +93,20 @@ let parse_options obj =
     | Some b when b >= 0 -> b
     | Some b -> bad "field \"budget\" must be non-negative, got %d" b
   in
-  (* The four keys [resynth] replaced: ignoring [exact_synth: true] would
-     silently return unimproved patches, so they are refused instead. *)
+  (* The patch-resynthesis keys: ignoring [resynth: true] would silently
+     serve unimproved patches to a client that asked for improved ones, so
+     they are refused instead. *)
   List.iter
     (fun key ->
       if Jsonx.member key obj <> None then
-        bad "field %S is retired; use \"resynth\": true (exact synthesis + rewriting)" key)
-    [ "exact_synth"; "rewrite"; "gate_weight"; "depth_weight" ];
+        bad "field %S is retired: patch resynthesis was removed" key)
+    [ "resynth"; "exact_synth"; "rewrite"; "gate_weight"; "depth_weight" ];
   {
     method_;
     certify = get_bool obj "certify" ~default:false;
     structural = get_bool obj "structural" ~default:false;
     verify = get_bool obj "verify" ~default:true;
     budget;
-    resynth = get_bool obj "resynth" ~default:false;
     no_cache = get_bool obj "no_cache" ~default:false;
   }
 
@@ -225,7 +223,7 @@ let resolve source =
 
 let config_of_options o =
   let c = Eco.Engine.config_of_method o.method_ in
-  let c = { c with Eco.Engine.certify = o.certify; verify = o.verify; resynth = o.resynth } in
+  let c = { c with Eco.Engine.certify = o.certify; verify = o.verify } in
   let c =
     if o.budget > 0 then { c with Eco.Engine.sat_budget = o.budget; feasibility_budget = o.budget }
     else c
@@ -313,7 +311,6 @@ let spec_to_json { source; options = o } =
     @ flag "structural" o.structural
     @ (if o.verify then [] else [ ("verify", Jsonx.Bool false) ])
     @ (if o.budget > 0 then [ ("budget", Jsonx.Int o.budget) ] else [])
-    @ flag "resynth" o.resynth
     @ flag "no_cache" o.no_cache)
 
 let to_json ?(id = Jsonx.Null) ?deadline_ms request =

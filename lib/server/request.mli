@@ -19,10 +19,6 @@ type options = {
           does for suite units flagged structural *)
   verify : bool;
   budget : int;  (** conflicts per SAT call; 0 = library default *)
-  resynth : bool;
-      (** resynthesize the final patches (exact synthesis, then
-          rewriting); the four synthesis keys it replaced are rejected as
-          [Bad_request] (see PROTOCOL.md) *)
   no_cache : bool;  (** bypass the server's outcome cache for this job *)
 }
 
@@ -68,9 +64,10 @@ type error = {
 val parse : string -> (envelope, error) result
 (** Parses one frame payload.  The error side distinguishes
     [Bad_json] (not JSON), [Bad_version] (missing/unsupported ["v"]),
-    [Unknown_op] and [Bad_request] (anything schema-level), and carries
-    the request id when the payload was parseable enough to contain
-    one, so error responses stay correlatable. *)
+    [Unknown_op] and [Bad_request] (anything schema-level, including
+    the retired option keys listed in PROTOCOL.md), and carries the
+    request id when the payload was parseable enough to contain one, so
+    error responses stay correlatable. *)
 
 val to_json : ?id:Jsonx.t -> ?deadline_ms:int -> request -> Jsonx.t
 (** The request's wire form — the inverse of {!parse}, used by the

@@ -108,7 +108,7 @@ let solve_rendered ~name ~options ~force_certify ~deadline inst =
   Telemetry.Counter.incr c_solves;
   (* The request deadline (admission-checked above) also clamps the
      engine's deadline-bounded phases, so a job admitted near the wire
-     does not overshoot inside patch sweeping or resynthesis. *)
+     does not overshoot inside patch sweeping. *)
   let outcome = Eco.Engine.solve ~config ~deadline inst in
   Jsonx.to_string (Request.render_outcome ~name outcome)
 

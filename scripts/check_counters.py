@@ -19,11 +19,11 @@ Checked per row:
     added or removed counter means the instrumentation changed and the
     baseline must be regenerated, so the gate fails with the name diff
     rather than comparing a renamed counter against 0.  Counters under
-    the prefixes in INFO_PREFIXES are exempt: they only appear when the
-    matching mode flag is on (e.g. synth.* under --resynth), so
-    their presence tracks the run configuration rather than the
-    instrumentation, and they measure optimisation progress, not solver
-    effort — they are never gated and never trip the name-set check.
+    the prefixes in INFO_PREFIXES are exempt: they only appear in some
+    run modes (e.g. server.* behind a live server), so their presence
+    tracks the run configuration rather than the instrumentation, and
+    they do not measure solver effort — they are never gated and never
+    trip the name-set check.
 
 Counters are deterministic (conflict counts, propagations, SAT calls — no
 wall-clock anywhere), so the tolerance only absorbs deliberate small
@@ -76,12 +76,6 @@ INFO_PREFIXES = [
     # solver effort.
     "diff.",
     "gen.",
-    # Patch resynthesis effort (exact synthesis SAT calls, table hits,
-    # rewrite cut statistics): present only under --resynth
-    # and measuring optimisation progress, not solver effort.  The
-    # synthesis CI gate asserts the substance (gates strictly lower,
-    # depth no higher, statuses identical).
-    "synth.",
     # Patch-sweeping effort (FRAIG classes/proofs, nodes removed) books
     # only on runs that reach the structural path with sweeping enabled;
     # informational for the same reason.

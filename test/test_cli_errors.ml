@@ -1,15 +1,19 @@
 (* Regression tests for eco_cli's error paths: bad flags, bad inputs and
    unreadable files must produce a one-line stderr diagnostic and exit
    code 2 (usage) or 1 (operational failure) — never an uncaught
-   exception with a backtrace. *)
+   exception with a backtrace.  The bench driver's argv is held to the
+   same usage rule. *)
 
 let exe = Filename.concat ".." "bin/eco_cli.exe"
 
-let run args =
+let bench_exe = Filename.concat (Sys.getcwd ()) (Filename.concat ".." "bench/main.exe")
+
+let run ?(exe = exe) ?cwd args =
   let out_file = Filename.temp_file "eco-cli-out" ".txt" in
   let err_file = Filename.temp_file "eco-cli-err" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s >%s 2>%s"
+    Printf.sprintf "%s%s %s >%s 2>%s"
+      (match cwd with Some d -> "cd " ^ Filename.quote d ^ " && " | None -> "")
       (Filename.quote exe)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out_file) (Filename.quote err_file)
@@ -205,6 +209,34 @@ let test_client_batch_verified_no () =
   Alcotest.(check int) "unverified row fails the batch: exit 1" 1 code;
   check_no_backtrace "unverified row" err
 
+(* {2 Bench driver argv} *)
+
+(* Each refused invocation runs in a fresh directory: a run that went
+   ahead anyway leaves its BENCH_*.json behind there. *)
+let check_bench_usage what args =
+  let dir = Filename.temp_file "eco-bench" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let code, _out, err = run ~exe:bench_exe ~cwd:dir args in
+  Alcotest.(check int) (what ^ ": exit 2") 2 code;
+  Alcotest.(check int) (what ^ ": one-line stderr") 1 (List.length (lines err));
+  Alcotest.(check (list string)) (what ^ ": nothing written") [] (Array.to_list (Sys.readdir dir));
+  check_no_backtrace what err
+
+let test_bench_usage () =
+  List.iter
+    (fun (what, args) -> check_bench_usage ("bench " ^ what) ("table1-smoke" :: args))
+    [
+      ("unknown flag", [ "--units"; "unit5"; "--no-verfy" ]);
+      ("dangling --json", [ "--units"; "unit5"; "--json" ]);
+      ("--resynth", [ "--units"; "unit5"; "--resynth" ]);
+      ("second experiment", [ "unit5"; "--units"; "unit5" ]);
+    ]
+
 let () =
   Alcotest.run "cli_errors"
     [
@@ -217,6 +249,7 @@ let () =
           Alcotest.test_case "nonexistent netlist" `Quick test_missing_input_file;
           Alcotest.test_case "unreadable netlist" `Quick test_unreadable_input_file;
           Alcotest.test_case "missing --target" `Quick test_missing_targets;
+          Alcotest.test_case "bench driver argv" `Quick test_bench_usage;
         ] );
       ( "operational",
         [

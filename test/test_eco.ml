@@ -451,6 +451,54 @@ let test_step_infeasible_falls_back () =
   Alcotest.(check (list string)) "both targets patched" [ "w1"; "w2" ]
     (List.sort compare (List.map (fun p -> p.Eco.Patch.target) o.Eco.Engine.patches))
 
+(* {2 Patch circuits} *)
+
+let redundant_patch () =
+  (* a ∧ b computed twice and ORed: 5 ANDs where 1 suffices. *)
+  let m = Aig.create () in
+  let a = Aig.add_input m and b = Aig.add_input m in
+  let f1 = Aig.and_ m a b in
+  let f2 = Aig.not_ (Aig.or_ m (Aig.not_ a) (Aig.not_ b)) in
+  ignore (Aig.add_output m (Aig.or_ m f1 f2));
+  Eco.Patch.make ~target:"t" ~support:[ ("a", 1); ("b", 2) ] m
+
+let test_import_into_order () =
+  (* Regression for the quadratic import path: a wide-support patch must
+     import with its inputs mapped in declaration order. *)
+  let k = 12 in
+  let m = Aig.create () in
+  let ins = Array.init k (fun _ -> Aig.add_input m) in
+  (* Alternating-phase AND chain: sensitive to any input permutation. *)
+  let body =
+    Array.to_list (Array.mapi (fun i l -> if i land 1 = 0 then l else Aig.not_ l) ins)
+  in
+  ignore (Aig.add_output m (Aig.and_list m body));
+  let support = List.init k (fun i -> (Printf.sprintf "s%d" i, 1)) in
+  let p = Eco.Patch.make ~target:"t" ~support m in
+  let host = Aig.create () in
+  let host_ins = Array.to_list (Array.init k (fun _ -> Aig.add_input host)) in
+  let lit = Eco.Patch.import_into p host ~support_lits:host_ins in
+  let bits = Array.init k (fun i -> i land 1 = 0) in
+  Alcotest.(check bool) "on-set row" true (Aig.eval host bits lit);
+  bits.(3) <- true;
+  Alcotest.(check bool) "off-set row" false (Aig.eval host bits lit)
+
+let test_sweep_expired_deadline () =
+  let p = redundant_patch () in
+  let sweep_runs () =
+    match List.assoc_opt "eco.sweep.runs" (Telemetry.snapshot ()) with
+    | Some v -> v
+    | None -> 0
+  in
+  let before = sweep_runs () in
+  (* [Deadline.after] maps non-positive spans to [never], so an expired
+     deadline has to actually expire. *)
+  let d = Deadline.after 1e-6 in
+  Unix.sleepf 0.01;
+  let p' = Eco.Patch.sweep ~deadline:d p in
+  Alcotest.(check bool) "expired deadline skips the sweep" true (p == p');
+  Alcotest.(check int) "no sweep booked" before (sweep_runs ())
+
 let () =
   Alcotest.run "eco"
     [
@@ -481,6 +529,11 @@ let () =
             test_exact_is_minimum_by_brute_force;
           Alcotest.test_case "bdd patch verifies" `Quick test_bdd_patch_matches;
           bdd_patches_verify_random;
+        ] );
+      ( "patch",
+        [
+          Alcotest.test_case "import_into order" `Quick test_import_into_order;
+          Alcotest.test_case "sweep: expired deadline" `Quick test_sweep_expired_deadline;
         ] );
       ("property", [ random_instances_solved ]);
     ]

@@ -146,16 +146,18 @@ let test_parse_errors () =
   check "{\"v\":1,\"op\":\"solve\",\"unit\":\"no_such_unit\",\"method\":\"sorcery\"}"
     "bad_request" J.Null;
   check "{\"v\":1,\"op\":\"solve\",\"unit\":\"unit5\",\"deadline_ms\":-3}" "bad_request" J.Null;
-  (* The synthesis keys [resynth] replaced are refused, naming it:
+  (* The patch-resynthesis keys are refused, naming the removal:
      ignoring them would silently serve unimproved patches. *)
   let retired =
     [
       "{\"v\":1,\"id\":7,\"op\":\"solve\",\"unit\":\"unit5\",\"exact_synth\":true}";
       "{\"v\":1,\"op\":\"solve\",\"unit\":\"unit5\",\"rewrite\":true,\"gate_weight\":4}";
+      "{\"v\":1,\"op\":\"solve\",\"unit\":\"unit5\",\"resynth\":true}";
     ]
   in
   check (List.nth retired 0) "bad_request" (J.Int 7);
   check (List.nth retired 1) "bad_request" J.Null;
+  check (List.nth retired 2) "bad_request" J.Null;
   let mentions ~sub s =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -165,13 +167,16 @@ let test_parse_errors () =
     (fun s ->
       match R.parse s with
       | Error e ->
-        Alcotest.(check bool) ("names resynth: " ^ e.R.msg) true (mentions ~sub:"resynth" e.R.msg)
+        Alcotest.(check bool)
+          ("names the removal: " ^ e.R.msg)
+          true
+          (mentions ~sub:"resynthesis was removed" e.R.msg)
       | Ok _ -> Alcotest.fail ("parsed: " ^ s))
     retired
 
 let test_parse_roundtrip () =
   let spec =
-    unit_spec ~options:{ R.default_options with R.certify = true; resynth = true } "unit5"
+    unit_spec ~options:{ R.default_options with R.certify = true } "unit5"
   in
   let s = payload ~id:(J.Int 9) ~deadline_ms:5000 (R.Solve spec) in
   match R.parse s with
@@ -182,8 +187,7 @@ let test_parse_roundtrip () =
     (match env.R.request with
     | R.Solve got ->
       Alcotest.(check bool) "source" true (got.R.source = R.Unit_name "unit5");
-      Alcotest.(check bool) "options survive" true (got.R.options.R.certify);
-      Alcotest.(check bool) "resynth survives" true got.R.options.R.resynth
+      Alcotest.(check bool) "options survive" true (got.R.options.R.certify)
     | _ -> Alcotest.fail "op");
     (* Stats and shutdown round-trip too. *)
     (match R.parse (payload R.Stats) with
@@ -320,9 +324,6 @@ let test_retired_options_share_cache () =
     | _ -> Alcotest.fail ("not a solve request: " ^ s)
   in
   Alcotest.(check bool) "same fingerprint" true (key plain = key retired);
-  (* A resynth request must never be served a cached unimproved outcome. *)
-  let resynth = {|{"v":1,"op":"solve","unit":"unit5","resynth":true}|} in
-  Alcotest.(check bool) "resynth keys apart" false (key plain = key resynth);
   let r1 = parse_response (Server.handle_payload t plain) in
   Alcotest.(check bool) "first solve not cached" true (J.member "cached" r1 = Some (J.Bool false));
   let r2 = parse_response (Server.handle_payload t retired) in
