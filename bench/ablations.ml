@@ -1,5 +1,16 @@
 (* Ablation studies backing the design decisions DESIGN.md calls out. *)
 
+(* A random single-target instance with its miter, its target and the
+   target's one-target miter M_i; [None] when generation fails. *)
+let single_target ~name ~seed ~inputs ~gates ~outputs ~style ~dist =
+  let impl = Gen.Circuits.random_dag ~seed ~inputs ~gates ~outputs () in
+  match Gen.Mutate.make_instance ~name ~style ~dist ~seed ~n_targets:1 impl with
+  | exception Failure _ -> None
+  | inst ->
+    let miter = Eco.Miter.build inst (Eco.Window.compute inst) in
+    let target = List.hd inst.Eco.Instance.targets in
+    Some (miter, target, Eco.Miter.quantify_others miter ~keep:target)
+
 (* A: the contest's weight taxonomy (§4.1) — one fixed instance priced
    under each of T1..T8; support choice follows the weight landscape. *)
 let ablation_a () =
@@ -31,17 +42,12 @@ let ablation_b () =
   Printf.printf "%6s %6s | %18s | %18s | %10s\n" "N" "M" "minimize (calls)" "linear (calls)" "baseline";
   List.iter
     (fun (seed, gates) ->
-      let impl = Gen.Circuits.random_dag ~seed ~inputs:12 ~gates ~outputs:6 () in
       match
-        Gen.Mutate.make_instance ~name:"abl_b" ~style:(Gen.Mutate.New_cone 4)
-          ~dist:Netlist.Weights.T8 ~seed ~n_targets:1 impl
+        single_target ~name:"abl_b" ~seed ~inputs:12 ~gates ~outputs:6
+          ~style:(Gen.Mutate.New_cone 4) ~dist:Netlist.Weights.T8
       with
-      | exception Failure _ -> ()
-      | inst ->
-        let window = Eco.Window.compute inst in
-        let miter = Eco.Miter.build inst window in
-        let target = List.hd inst.Eco.Instance.targets in
-        let m_i = Eco.Miter.quantify_others miter ~keep:target in
+      | None -> ()
+      | Some (miter, target, m_i) ->
         let tc = Eco.Two_copy.build miter ~m_i ~target in
         let n = Eco.Two_copy.n_divisors tc in
         let selectors = List.init n (Eco.Two_copy.selector tc) in
@@ -94,27 +100,27 @@ let ablation_c () =
         | _ -> Printf.printf "%4d %8d %12s\n" k (1 lsl k) "-"))
     [ 2; 3; 4; 5; 6; 7; 8 ]
 
-(* D: the last-gasp greedy swap (§3.4.1's closing remark): cost with and
-   without it across a batch of instances. *)
+(* D: the last-gasp greedy swap (§3.4.1's closing remark): support cost
+   with and without it across a batch of single-target instances. *)
 let ablation_d () =
   Printf.printf "\n=== Ablation D: last-gasp single-swap improvement ===\n";
   Printf.printf "%6s %10s %10s %10s\n" "seed" "without" "with" "delta";
   List.iter
     (fun seed ->
-      let impl = Gen.Circuits.random_dag ~seed ~inputs:10 ~gates:150 ~outputs:8 () in
       match
-        Gen.Mutate.make_instance ~name:"abl_d" ~style:(Gen.Mutate.New_cone 4)
-          ~dist:Netlist.Weights.T7 ~seed ~n_targets:1 impl
+        single_target ~name:"abl_d" ~seed ~inputs:10 ~gates:150 ~outputs:8
+          ~style:(Gen.Mutate.New_cone 4) ~dist:Netlist.Weights.T7
       with
-      | exception Failure _ -> ()
-      | inst ->
+      | None -> ()
+      | Some (miter, target, m_i) -> (
         let run last_gasp =
-          let c = Eco.Engine.config_of_method Eco.Engine.Min_assume in
-          let o = Eco.Engine.solve ~config:{ c with Eco.Engine.last_gasp } inst in
-          o.Eco.Engine.cost
+          let tc = Eco.Two_copy.build miter ~m_i ~target in
+          Eco.Support.with_min_assume ~budget:Eco.Engine.default_config.sat_budget ~last_gasp tc
         in
-        let without = run false and with_ = run true in
-        Printf.printf "%6d %10d %10d %10d\n" seed without with_ (without - with_))
+        match (run false, run true) with
+        | Some { cost = without; _ }, Some { cost = with_; _ } ->
+          Printf.printf "%6d %10d %10d %10d\n" seed without with_ (without - with_)
+        | _ -> ()))
     [ 201; 202; 203; 204; 205; 206 ]
 
 (* E: patch-function computation — the paper's cube enumeration vs the
@@ -129,17 +135,12 @@ let ablation_e () =
   let total_c = ref 0.0 and total_i = ref 0.0 in
   List.iter
     (fun seed ->
-      let impl = Gen.Circuits.random_dag ~seed ~inputs:10 ~gates:200 ~outputs:8 () in
       match
-        Gen.Mutate.make_instance ~name:"abl_e" ~style:(Gen.Mutate.New_cone 5)
-          ~dist:Netlist.Weights.T8 ~seed ~n_targets:1 impl
+        single_target ~name:"abl_e" ~seed ~inputs:10 ~gates:200 ~outputs:8
+          ~style:(Gen.Mutate.New_cone 5) ~dist:Netlist.Weights.T8
       with
-      | exception Failure _ -> ()
-      | inst -> (
-        let window = Eco.Window.compute inst in
-        let miter = Eco.Miter.build inst window in
-        let target = List.hd inst.Eco.Instance.targets in
-        let m_i = Eco.Miter.quantify_others miter ~keep:target in
+      | None -> ()
+      | Some (miter, target, m_i) -> (
         let tc = Eco.Two_copy.build miter ~m_i ~target in
         match Eco.Support.with_min_assume tc with
         | None -> ()

@@ -3,10 +3,8 @@
    dune exec bench/main.exe              -- everything (Table 1, ablations,
                                             microbenchmarks)
    dune exec bench/main.exe table1       -- just the Table 1 regeneration
-   dune exec bench/main.exe table1-fast  -- Table 1 on the quick units only
-   dune exec bench/main.exe table1-smoke -- fast units minus the
-                                            deadline-bound ones (CI's
-                                            -j equivalence check)
+   dune exec bench/main.exe table1-smoke -- Table 1 on the quick units only
+                                            (CI's -j equivalence check)
    dune exec bench/main.exe ablations    -- ablations A-E
    dune exec bench/main.exe ablationA    -- one ablation (ablationA ..
                                             ablationE)
@@ -14,10 +12,10 @@
    dune exec bench/main.exe discovery    -- found-vs-planted target table
                                             on blind (--no-targets) units;
                                             with --smoke, restrict to the
-                                            smoke units and enforce the
+                                            15 smoke units and enforce the
                                             recovery/parity/cost gates
                                             (CI's discovery check)
-   dune exec bench/main.exe serve-stress -- the smoke units against a
+   dune exec bench/main.exe serve-stress -- the quick units against a
                                             live server (see below)
 
    Options (anywhere in argv; an unknown option, a second experiment
@@ -38,7 +36,7 @@
    --json FILE     write the Table 1 telemetry JSON here
                    (default BENCH_table1.json)
 
-   serve-stress replays the smoke units against a live `eco_cli serve`
+   serve-stress replays the quick units against a live `eco_cli serve`
    (or a self-spawned in-process server) and reports throughput and
    latency percentiles per pass; see bench/stress.ml.  Extra options:
    --socket ADDR   target an external server instead of spawning one
@@ -52,11 +50,10 @@ let fast_units =
     (fun (s : Gen.Suite.unit_spec) -> not (List.mem s.Gen.Suite.id [ 9; 19 ]))
     Gen.Suite.all
 
-(* Deadline-robust subset for the parallel-equivalence CI smoke: the fast
-   units minus those whose runs lean on wall-clock deadlines (sat_prune /
-   patch enumeration), which bind at different points under CPU
-   contention and so can legitimately differ between -j 1 and -j N. *)
-let smoke_units =
+(* Target discovery still stops its search on a wall-clock deadline
+   ([Diff.Discover.config.deadline]), and the committed
+   BENCH_discovery.json reference covers these units only. *)
+let discovery_smoke_units =
   List.filter
     (fun (s : Gen.Suite.unit_spec) -> not (List.mem s.Gen.Suite.id [ 14; 17; 20 ]))
     fast_units
@@ -138,8 +135,7 @@ let () =
   in
   match what with
   | "table1" -> table1 (units_or Gen.Suite.all)
-  | "table1-fast" -> table1 (units_or fast_units)
-  | "table1-smoke" -> table1 (units_or smoke_units)
+  | "table1-smoke" -> table1 (units_or fast_units)
   | "ablations" -> Ablations.run_all ()
   | "ablationA" -> Ablations.ablation_a ()
   | "ablationB" -> Ablations.ablation_b ()
@@ -148,14 +144,14 @@ let () =
   | "ablationE" -> Ablations.ablation_e ()
   | "micro" -> Micro.run ()
   | "discovery" ->
-    let units = units_or (if !smoke then smoke_units else Gen.Suite.all) in
+    let units = units_or (if !smoke then discovery_smoke_units else Gen.Suite.all) in
     let failures =
       Discovery.run ~units ~json:(json_or "BENCH_discovery.json") ~jobs ~gate:!smoke ()
     in
     if failures > 0 then exit 1
   | "serve-stress" ->
     let failures =
-      Stress.run ~units:(units_or smoke_units) ~socket:!socket ~jobs ~repeat:!repeat
+      Stress.run ~units:(units_or fast_units) ~socket:!socket ~jobs ~repeat:!repeat
         ~no_cache:!no_cache ~certify ~json:(json_or "BENCH_stress.json") ()
     in
     if failures > 0 then exit 1
@@ -165,6 +161,6 @@ let () =
     Micro.run ()
   | other ->
     usage
-      "unknown experiment %S (table1 | table1-fast | table1-smoke | ablations | ablationA..E | \
+      "unknown experiment %S (table1 | table1-smoke | ablations | ablationA..E | \
        micro | discovery | serve-stress | all)"
       other

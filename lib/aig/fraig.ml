@@ -28,9 +28,8 @@ let normalize sig_ =
    counterexample input patterns collected from refuted candidates; many
    counterexamples mean the signatures were too coarse and the caller
    should refine and retry. *)
-let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~stop_at mgr reachable sigs
+let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
     stats_proved stats_disproved stats_classes =
-  let queries = ref 0 in
   let outs = Array.to_list (Graph.outputs mgr) in
   let solver = Sat.Solver.create () in
   let env = Cnf.create mgr solver in
@@ -54,10 +53,7 @@ let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~stop_at mgr r
     let x = Graph.xor_ mgr a b in
     if x = Graph.false_ then true
     else if x = Graph.true_ then false
-    else if
-      !stats_disproved >= max_disproofs || !queries >= max_queries
-      || Deadline.expired stop_at
-    then false
+    else if !stats_disproved >= max_disproofs || !queries >= max_queries then false
     else begin
       incr queries;
       Sat.Solver.set_budget solver budget;
@@ -121,13 +117,12 @@ let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~stop_at mgr r
   (dst, !cexs)
 
 let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
-    ?(max_disproofs = 500) ?(max_queries = max_int) ?(max_passes = 4) ?(deadline = 0.0) mgr =
-  let stop_at = Deadline.after deadline in
+    ?(max_disproofs = 500) ?(max_queries = max_int) ?(max_passes = 4) mgr =
   let outs = Array.to_list (Graph.outputs mgr) in
   let n0 = Graph.num_nodes mgr in
   let reachable = Graph.tfi_mark mgr outs in
   let sigs = random_signatures ~rounds ~seed mgr in
-  let proved = ref 0 and disproved = ref 0 and classes = ref 0 in
+  let proved = ref 0 and disproved = ref 0 and classes = ref 0 and queries = ref 0 in
   let result = ref None in
   let passes = ref 0 in
   (* Counterexample-guided refinement: a pass that refutes many candidates
@@ -136,8 +131,8 @@ let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
   while !result = None do
     incr passes;
     let dst, cexs =
-      merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~stop_at mgr reachable
-        sigs proved disproved classes
+      merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
+        proved disproved classes
     in
     if List.length cexs < 4 || !passes >= max_passes then result := Some dst
     else begin

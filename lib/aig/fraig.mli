@@ -23,10 +23,12 @@ val sweep :
   ?max_disproofs:int ->
   ?max_queries:int ->
   ?max_passes:int ->
-  ?deadline:float ->
   Graph.t ->
   Graph.t * stats
 (** Returns a fresh manager computing the same outputs over the same
     inputs (in order), with proven-equivalent internal nodes shared.
     [budget] caps conflicts per equivalence query (default 2000); an
-    undecided query is treated as inequivalent. *)
+    undecided query is treated as inequivalent.  Once the sweep has made
+    [max_queries] SAT queries (default unlimited) or refuted
+    [max_disproofs] candidates (default 500) over all its passes, the
+    remaining candidates stay unmerged. *)

@@ -8,5 +8,3 @@ type t = float
 let never = nan
 let after s = if s > 0.0 then Unix.gettimeofday () +. s else never
 let expired t = Unix.gettimeofday () > t
-let is_never t = t <> t
-let remaining t = if is_never t then infinity else t -. Unix.gettimeofday ()

@@ -1,18 +1,16 @@
 (** Wall-clock deadlines with one shared semantics.
 
-    Several long-running loops (cube enumeration, the exact support
-    search, SAT sweeping) bound their work by elapsed {e wall-clock} time.
-    Before this module each site re-derived the arithmetic by hand with a
-    mix of [0.0]-sentinel and [> 0.0]-guard conventions; this is the one
-    place that encodes it.
+    Only two callers bound their work by elapsed {e wall-clock} time: the
+    ECO server, which rejects a request whose [deadline_ms] elapses
+    before its job starts, and target discovery
+    ([Diff.Discover.config.deadline]).  [Eco.Engine.solve] uses none:
+    every limit inside it is a counted budget (conflicts, cubes,
+    hitting-set nodes, sweep queries), so its outcome never depends on
+    the machine load or the [-j] level.
 
-    Deadlines are wall time, not CPU time, on purpose: a budget of "15
-    seconds per target" should hold whether the process has the machine to
-    itself or shares it with other worker domains of a [-j N] run.  Under
-    contention a domain therefore gets {e less} useful work out of the
-    same deadline — that is the documented trade-off, and why
-    deadline-bounded phases are the only source of [-j]-dependent
-    behaviour (conflict budgets and iteration caps stay deterministic). *)
+    Deadlines are wall time, not CPU time, on purpose: a request's
+    admission budget should hold whether the process has the machine to
+    itself or shares it with other worker domains. *)
 
 type t
 
@@ -21,14 +19,7 @@ val never : t
 
 val after : float -> t
 (** [after s] expires [s] wall-clock seconds from now.  Any [s <= 0.0]
-    means "disabled" and returns {!never} — the convention every caller
-    taking a [?deadline:float] argument already exposes. *)
+    means "disabled" and returns {!never}. *)
 
 val expired : t -> bool
 (** Polls the clock; [false] forever on {!never}. *)
-
-val is_never : t -> bool
-
-val remaining : t -> float
-(** Seconds until expiry (negative once expired); [infinity] on
-    {!never}. *)

@@ -39,7 +39,9 @@ let greedy ~weights clauses =
 
 exception Node_limit
 
-let minimum ?(max_nodes = 200_000) ~weights clauses =
+let tc_nodes = Telemetry.Counter.make "hs.nodes"
+
+let minimum ?(max_nodes = 200_000) ?nodes:spent ~weights clauses =
   match greedy ~weights clauses with
   | None -> None
   | Some ub_set ->
@@ -49,8 +51,8 @@ let minimum ?(max_nodes = 200_000) ~weights clauses =
     (* Branch on the uncovered clause with the fewest elements; try its
        elements cheapest-first. *)
     let rec branch chosen cost remaining =
+      if !nodes >= max_nodes then raise Node_limit;
       incr nodes;
-      if !nodes > max_nodes then raise Node_limit;
       if cost < !best_cost then begin
         match remaining with
         | [] ->
@@ -74,5 +76,10 @@ let minimum ?(max_nodes = 200_000) ~weights clauses =
       end
     in
     let clauses = List.sort_uniq compare (List.map (List.sort_uniq compare) clauses) in
-    branch [] 0 clauses;
+    (* Booked once per call, on the limit path too. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Counter.add tc_nodes !nodes;
+        Option.iter (fun r -> r := !r + !nodes) spent)
+      (fun () -> branch [] 0 clauses);
     Some (List.sort compare !best_set)

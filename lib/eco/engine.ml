@@ -4,14 +4,11 @@ type config = {
   method_ : method_;
   sat_budget : int;
   feasibility_budget : int;
-  last_gasp : bool;
   force_structural : bool;
   verify : bool;
   verify_budget : int;
   certify : bool; (* independently certify final SAT/UNSAT verdicts *)
   max_cubes : int;
-  sat_prune_deadline : float; (* seconds per target for the exact search *)
-  patch_deadline : float; (* seconds per target for cube enumeration *)
 }
 
 let config_of_method m =
@@ -19,14 +16,11 @@ let config_of_method m =
     method_ = m;
     sat_budget = 60_000;
     feasibility_budget = 80_000;
-    last_gasp = (m = Min_assume || m = Exact);
     force_structural = false;
     verify = true;
     verify_budget = 40_000;
     certify = false;
-    max_cubes = 50_000;
-    sat_prune_deadline = 15.0;
-    patch_deadline = 60.0;
+    max_cubes = 400; (* the largest completed enumeration in Table 1 takes 171 *)
   }
 
 let default_config = config_of_method Min_assume
@@ -154,6 +148,11 @@ let commit_steps acc =
 
 let discard_steps acc = Telemetry.Counter.add tc_discarded (List.length acc)
 
+(* Hitting-set branch-and-bound nodes the exact search may spend on one
+   target before its minimize_assumptions incumbent stands — the counted
+   stand-in for the paper's per-target timeout (§3.4.2). *)
+let sat_prune_nodes = 40_000
+
 (* SAT pipeline: targets one at a time (§3.1), each on a fresh two-copy
    instance; raises Min_assume.Budget_exhausted to trigger the structural
    fallback.  Completed steps accumulate in [acc] so a mid-flight timeout
@@ -171,18 +170,16 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
           Telemetry.with_phase "support" @@ fun () ->
           match config.method_ with
           | Baseline -> Support.baseline ~budget tc
-          | Min_assume -> Support.with_min_assume ~budget ~last_gasp:config.last_gasp tc
+          | Min_assume -> Support.with_min_assume ~budget tc
           | Exact -> (
             (* Warm start: the minimal (not minimum) support doubles as the
                incumbent upper bound for the exact search; if the exact loop
                exhausts its budget the incumbent stands (the paper's
                local-optimum behaviour on multi-target units). *)
-            let incumbent =
-              Support.with_min_assume ~budget ~last_gasp:config.last_gasp tc
-            in
+            let incumbent = Support.with_min_assume ~budget tc in
             match
-              Sat_prune.minimum_support ~budget ~max_iterations:150
-                ~deadline:config.sat_prune_deadline ?incumbent tc
+              Sat_prune.minimum_support ~budget ~max_iterations:150 ~max_nodes:sat_prune_nodes
+                ?incumbent tc
             with
             | o ->
               notes := ("sat_prune_iterations", o.Sat_prune.iterations) :: !notes;
@@ -204,8 +201,8 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
         let pf =
           match
             Telemetry.with_phase "patch_fun" @@ fun () ->
-            Patch_fun.compute ~budget ~certify:config.certify ~max_cubes:config.max_cubes
-              ~deadline:config.patch_deadline miter ~m_i ~target:name ~chosen:sel.Support.indices
+            Patch_fun.compute ~budget ~certify:config.certify ~max_cubes:config.max_cubes miter
+              ~m_i ~target:name ~chosen:sel.Support.indices
           with
           | pf -> pf
           | exception Patch_fun.Exhausted partial ->
@@ -237,7 +234,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
     (Miter.remaining_targets miter)
 
 (* Structural fallback (§3.6) for every remaining target. *)
-let structural_pipeline config (miter : Miter.t) window certificate notes ~deadline =
+let structural_pipeline config (miter : Miter.t) window certificate notes =
   Telemetry.with_phase "structural" @@ fun () ->
   let remaining = Miter.remaining_targets miter in
   let k = List.length remaining in
@@ -299,7 +296,7 @@ let structural_pipeline config (miter : Miter.t) window certificate notes ~deadl
   in
   (* SAT sweeping after the support decisions: shrinks the reported gate
      counts without touching costs. *)
-  let patches = List.map (Patch.sweep ~deadline) patches in
+  let patches = List.map (fun p -> Patch.sweep p) patches in
   List.map
     (fun p ->
       Telemetry.Counter.incr tc_structural;
@@ -321,7 +318,7 @@ let structural_pipeline config (miter : Miter.t) window certificate notes ~deadl
       p)
     patches
 
-let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
+let solve ?(config = default_config) ?window inst =
   Telemetry.with_phase "eco" @@ fun () ->
   Telemetry.Counter.incr tc_runs;
   let t0 = Unix.gettimeofday () in
@@ -417,7 +414,7 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
     in
     let miter = Telemetry.with_phase "miter" (fun () -> Miter.build inst window) in
     if config.force_structural then begin
-      let patches = structural_pipeline config miter window None notes ~deadline in
+      let patches = structural_pipeline config miter window None notes in
       finish ~miter Solved patches true
     end
     else begin
@@ -425,7 +422,7 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
       | Not_feasible -> finish Infeasible [] false
       | Feasibility_unknown ->
         (* §3.2: assume a solution exists and derive a structural patch. *)
-        let patches = structural_pipeline config miter window None notes ~deadline in
+        let patches = structural_pipeline config miter window None notes in
         finish ~miter Solved patches true
       | Feasible certificate -> (
         try
@@ -435,7 +432,7 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
         | Min_assume.Budget_exhausted ->
           (* SAT timed out mid-flight: already-substituted patches stay;
              the remaining targets get structural patches. *)
-          let structural = structural_pipeline config miter window certificate notes ~deadline in
+          let structural = structural_pipeline config miter window certificate notes in
           finish ~miter Solved (commit_steps !acc @ structural) true
         | Step_infeasible _ ->
           (* The unit is feasible (checked above) but the raising target
@@ -446,7 +443,7 @@ let solve ?(config = default_config) ?(deadline = Deadline.never) ?window inst =
              discarded proven-feasible work; route it to the structural
              fallback like a timeout, keeping the finished patches. *)
           notes := ("step_infeasible", 1) :: !notes;
-          let structural = structural_pipeline config miter window certificate notes ~deadline in
+          let structural = structural_pipeline config miter window certificate notes in
           finish ~miter Solved (commit_steps !acc @ structural) true)
     end
   with

@@ -17,7 +17,6 @@ type config = {
   method_ : method_;
   sat_budget : int;  (** conflicts per SAT call; 0 = unlimited *)
   feasibility_budget : int;
-  last_gasp : bool;
   force_structural : bool;
       (** skip the feasibility check and the SAT pipeline, emulating a
           feasibility timeout *)
@@ -34,12 +33,7 @@ type config = {
           proofs afterwards.  The 2QBF feasibility path produces no
           clause-level proof object and stays uncertified. *)
   max_cubes : int;
-  sat_prune_deadline : float;
-      (** wall-clock seconds per target before the exact search yields to
-          its incumbent *)
-  patch_deadline : float;
-      (** wall-clock seconds per target for cube enumeration before the
-          engine falls back to the structural path *)
+      (** prime cubes per target before the structural fallback *)
 }
 
 val config_of_method : method_ -> config
@@ -68,12 +62,11 @@ type outcome = {
       (** auxiliary counters: cubes, 2QBF iterations, miter copies, … *)
 }
 
-val solve :
-  ?config:config -> ?deadline:Deadline.t -> ?window:Window.t -> Instance.t -> outcome
-(** [?deadline] is the unit's remaining wall-clock budget (default
-    {!Deadline.never}): patch sweeping, the only deadline-clamped phase,
-    stops at whichever of its own cap or this deadline comes first, so a
-    nearly-expired unit cannot overshoot inside it.
+val solve : ?config:config -> ?window:Window.t -> Instance.t -> outcome
+(** Every search limit inside [solve] is counted (conflicts, cubes,
+    hitting-set nodes, sweep queries), never timed: the outcome, counters
+    included, depends only on the build, instance and config; only
+    [time] varies.
 
     [?window] overrides the computed rectification window — for callers
     that restrict the divisor candidates (tests, external windowing).  A

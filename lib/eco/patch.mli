@@ -36,10 +36,10 @@ val eval : t -> bool array -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val sweep : ?deadline:Deadline.t -> t -> t
+val sweep : ?max_queries:int -> t -> t
 (** SAT-sweeps the patch circuit ({!Aig.Fraig}), merging functionally
     equivalent internal nodes; support and input order are preserved.
-    The sweep's own 5-second cap is clamped to whatever remains of
-    [deadline] (default {!Deadline.never}); an already-expired deadline
-    skips the sweep entirely.  Sweep effort is booked under the
-    [eco.sweep.*] counters. *)
+    The sweep makes at most [max_queries] SAT queries (default 500);
+    candidates past the cap stay unmerged, so the result is always
+    equivalent and never depends on the clock.  Sweep effort is booked
+    under the [eco.sweep.*] counters. *)

@@ -13,10 +13,10 @@ let tc_aborts = Telemetry.Counter.make "patch_fun.aborts"
 let tc_cubes = Telemetry.Counter.make "patch_fun.cubes"
 let tc_sat_calls = Telemetry.Counter.make "patch_fun.sat_calls"
 
-(* Encoding effort, booked under the same counters as [Two_copy.build]. *)
-let tc_encodes = Telemetry.Counter.make "session.solver_encodes"
-let tc_vars = Telemetry.Counter.make "session.vars_encoded"
-let tc_clauses = Telemetry.Counter.make "session.clauses_encoded"
+(* Encoding effort of the enumeration solver. *)
+let tc_encodes = Telemetry.Counter.make "patch_fun.solver_encodes"
+let tc_vars = Telemetry.Counter.make "patch_fun.vars_encoded"
+let tc_clauses = Telemetry.Counter.make "patch_fun.clauses_encoded"
 
 (* Var-keyed index for prime-literal recovery, replacing the quadratic
    rescans of the divisor-literal array.  Two chosen divisors can share a
@@ -34,9 +34,8 @@ let index_table lits =
     | Some i -> i
     | None -> invalid_arg "Patch_fun: unknown literal"
 
-let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 0.0)
-    (miter : Miter.t) ~m_i ~target ~chosen =
-  let stop_at = Deadline.after deadline in
+let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Miter.t) ~m_i ~target
+    ~chosen =
   let divisors = Array.of_list (List.map (fun i -> miter.Miter.divisors.(i)) chosen) in
   let support =
     Array.to_list (Array.map (fun d -> (d.Miter.div_name, d.Miter.div_cost)) divisors)
@@ -89,7 +88,7 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 
   let n_cubes = ref 0 in
   let tautology = ref false in
   let continue = ref true in
-  (* Abort paths (budget, cube cap, deadline) still represent real solver
+  (* Abort paths (conflict budget, cube cap) still represent real solver
      effort: record the partial counts in the telemetry counters and hand
      them to the caller, so structural-fallback rows report the SAT calls
      that were actually made. *)
@@ -102,7 +101,6 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) ?(deadline = 
   try
     while !continue do
       if !n_cubes > max_cubes then raise Min_assume.Budget_exhausted;
-      if Deadline.expired stop_at then raise Min_assume.Budget_exhausted;
       if unsat onset then begin
         (* Terminating verdict: the onset is covered — certify it. *)
         certify_unsat "patch_fun.onset" onset;

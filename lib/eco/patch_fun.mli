@@ -21,7 +21,7 @@ type partial = { partial_sat_calls : int; partial_cubes : int }
 
 exception Exhausted of partial
 (** Raised instead of [Min_assume.Budget_exhausted] when {!compute} aborts
-    (conflict budget, cube cap, or deadline), carrying the SAT calls and
+    (conflict budget or cube cap), carrying the SAT calls and
     cubes already spent so the caller can account for them — an aborted
     enumeration is real solver effort, and dropping it made
     structural-fallback rows under-report [sat_calls]. *)
@@ -30,7 +30,6 @@ val compute :
   ?budget:int ->
   ?certify:bool ->
   ?max_cubes:int ->
-  ?deadline:float ->
   Miter.t ->
   m_i:Aig.lit ->
   target:string ->
@@ -40,8 +39,9 @@ val compute :
     divisor subset must be sufficient (expression (2) unsatisfiable), as
     established by {!Support} — otherwise the enumeration detects the
     inconsistency and raises [Failure].  Raises {!Exhausted} (with the
-    partial effort counts) on conflict-budget timeout, cube-cap overflow,
-    or when [deadline] (wall-clock seconds, see {!Deadline}) passes.
+    partial effort counts) when a SAT call runs out of its [budget]
+    conflicts or the enumeration passes [max_cubes] primes (default
+    50,000).
 
     With [~certify:true], every accepted prime's offset-UNSAT core and the
     terminating onset-UNSAT verdict are independently certified (see

@@ -1,23 +1,18 @@
-type outcome = {
-  selection : Support.selection option;
-  iterations : int;
-  hs_clauses : int;
-}
+type outcome = { selection : Support.selection option; iterations : int }
 
-let minimum_support ?budget ?(max_iterations = 2000) ?(deadline = 0.0) ?incumbent tc =
+let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?incumbent tc =
   let n = Two_copy.n_divisors tc in
   let weights = Array.init n (fun i -> (Two_copy.divisor tc i).Miter.div_cost) in
   let calls0 = Two_copy.solver_calls tc in
-  let stop_at = Deadline.after deadline in
   let clauses = ref [] in
   let iterations = ref 0 in
+  let nodes = ref 0 in
   let result = ref None in
   while !result = None do
     incr iterations;
     if !iterations > max_iterations then raise Min_assume.Budget_exhausted;
-    if Deadline.expired stop_at then raise Min_assume.Budget_exhausted;
     match
-      try Diff.Hitting_set.minimum ~weights !clauses
+      try Diff.Hitting_set.minimum ~max_nodes:(max_nodes - !nodes) ~nodes ~weights !clauses
       with Diff.Hitting_set.Node_limit -> raise Min_assume.Budget_exhausted
     with
     | None ->
@@ -54,5 +49,5 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(deadline = 0.0) ?incumben
         end)
   done;
   match !result with
-  | Some sel -> { selection = sel; iterations = !iterations; hs_clauses = List.length !clauses }
+  | Some sel -> { selection = sel; iterations = !iterations }
   | None -> assert false

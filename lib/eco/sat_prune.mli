@@ -15,19 +15,21 @@
 type outcome = {
   selection : Support.selection option;  (** [None]: infeasible *)
   iterations : int;
-  hs_clauses : int;
 }
 
 val minimum_support :
   ?budget:int ->
   ?max_iterations:int ->
-  ?deadline:float ->
+  ?max_nodes:int ->
   ?incumbent:Support.selection ->
   Two_copy.t ->
   outcome
 (** [incumbent] is a known feasible selection (e.g. the
     [minimize_assumptions] result): as soon as the hitting-set lower bound
     reaches its cost the incumbent is returned as provably minimum, which
-    prunes most of the refinement loop.  Raises
-    {!Min_assume.Budget_exhausted} when a SAT call times out or the
-    iteration cap is hit. *)
+    prunes most of the refinement loop.  Every limit is counted:
+    [budget] conflicts per SAT call, [max_iterations] (default 2000)
+    refinement rounds, and [max_nodes] (default unlimited) hitting-set
+    nodes over the whole search, of which each
+    {!Diff.Hitting_set.minimum} call gets what is left.  Raises
+    {!Min_assume.Budget_exhausted} when any of them runs out. *)

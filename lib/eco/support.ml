@@ -39,8 +39,9 @@ let baseline ?budget tc =
     Some { indices; cost = cost_of tc indices; sat_calls = Two_copy.solver_calls tc - calls0 }
 
 (* One pass of greedy improvement: try to replace each selected divisor
-   (most expensive first) with a strictly cheaper unselected one. *)
-let last_gasp_swap ?budget ~swap_tries tc indices =
+   (most expensive first) with one of the 16 nearest strictly cheaper
+   unselected ones. *)
+let last_gasp_swap ?budget tc indices =
   let chosen = ref (List.sort_uniq compare indices) in
   let by_cost_desc =
     List.sort (fun a b -> compare (Two_copy.divisor tc b).Miter.div_cost (Two_copy.divisor tc a).Miter.div_cost) !chosen
@@ -54,7 +55,7 @@ let last_gasp_swap ?budget ~swap_tries tc indices =
          functional substitute while still improving the total. *)
       let candidates = ref [] in
       (let j = ref (min (i - 1) (Two_copy.n_divisors tc - 1)) in
-       while !j >= 0 && List.length !candidates < swap_tries do
+       while !j >= 0 && List.length !candidates < 16 do
          let cost_j = (Two_copy.divisor tc !j).Miter.div_cost in
          if cost_j < cost_i && not (List.mem !j !chosen) then candidates := !j :: !candidates;
          decr j
@@ -72,7 +73,7 @@ let last_gasp_swap ?budget ~swap_tries tc indices =
     by_cost_desc;
   !chosen
 
-let with_min_assume ?budget ?(last_gasp = true) ?(swap_tries = 16) ?(over_core = true) tc =
+let with_min_assume ?budget ?(last_gasp = true) tc =
   count_selection
   @@
   let calls0 = Two_copy.solver_calls tc in
@@ -86,12 +87,9 @@ let with_min_assume ?budget ?(last_gasp = true) ?(swap_tries = 16) ?(over_core =
        small; the cost-sorted order and the last-gasp sweep below recover
        the cost preference over the full divisor set. *)
     let pool =
-      if over_core then
-        let core = Two_copy.final_conflict tc in
-        let indexed = List.filter_map (index_of_selector tc) core in
-        let sorted = List.sort compare indexed in
-        List.map (Two_copy.selector tc) sorted
-      else all_selectors tc
+      let core = Two_copy.final_conflict tc in
+      let indexed = List.filter_map (index_of_selector tc) core in
+      List.map (Two_copy.selector tc) (List.sort compare indexed)
     in
     let minimal =
       Min_assume.minimize
@@ -99,8 +97,6 @@ let with_min_assume ?budget ?(last_gasp = true) ?(swap_tries = 16) ?(over_core =
         ~base:[] pool
     in
     let indices = List.sort compare (List.filter_map (index_of_selector tc) minimal) in
-    let indices =
-      if last_gasp then last_gasp_swap ?budget ~swap_tries tc indices else indices
-    in
+    let indices = if last_gasp then last_gasp_swap ?budget tc indices else indices in
     certify_indices tc "support.min_assume" indices;
     Some { indices; cost = cost_of tc indices; sat_calls = Two_copy.solver_calls tc - calls0 }

@@ -22,17 +22,10 @@ val baseline : ?budget:int -> Two_copy.t -> selection option
     rectify the circuit.  Raises {!Min_assume.Budget_exhausted} on
     timeout. *)
 
-val with_min_assume :
-  ?budget:int ->
-  ?last_gasp:bool ->
-  ?swap_tries:int ->
-  ?over_core:bool ->
-  Two_copy.t ->
-  selection option
-(** Cost-aware minimal support via [minimize_assumptions].  [last_gasp]
-    (default true) attempts to replace each chosen divisor by one cheaper
-    divisor ([swap_tries] candidate replacements per chosen divisor,
-    default 16).  [over_core] (default true) minimizes within the
-    final-conflict core rather than the full cost-sorted selector list —
-    same minimality guarantee, far fewer large-assumption solver calls;
-    pass [false] for the paper's literal full-sweep formulation. *)
+val with_min_assume : ?budget:int -> ?last_gasp:bool -> Two_copy.t -> selection option
+(** Cost-aware minimal support via [minimize_assumptions], run within the
+    final-conflict core rather than the paper's full cost-sorted selector
+    list — same minimality guarantee, far fewer large-assumption solver
+    calls.  [last_gasp] (default true; the engine always uses it, only
+    Ablation D turns it off) then tries to replace each chosen divisor by
+    one of up to 16 cheaper divisors. *)

@@ -12,11 +12,11 @@ type t = {
   sel_index : (int, int) Hashtbl.t; (* selector var -> divisor index *)
 }
 
-(* Encoding effort of the SAT pipeline: fresh solver+CNF constructions and
-   the variables and clauses they hold. *)
-let tc_encodes = Telemetry.Counter.make "session.solver_encodes"
-let tc_vars = Telemetry.Counter.make "session.vars_encoded"
-let tc_clauses = Telemetry.Counter.make "session.clauses_encoded"
+(* Encoding effort of the support search: fresh solver+CNF constructions
+   and the variables and clauses they hold. *)
+let tc_encodes = Telemetry.Counter.make "two_copy.solver_encodes"
+let tc_vars = Telemetry.Counter.make "two_copy.vars_encoded"
+let tc_clauses = Telemetry.Counter.make "two_copy.clauses_encoded"
 
 (* One selector variable per divisor, with clauses a -> (d1 = d2). *)
 let init_selectors simp solver env d1_lits d2_lits divisors =

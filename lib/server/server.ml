@@ -102,14 +102,13 @@ let solve_fingerprint t (spec : Request.solve_spec) inst =
 
 (* {2 Job execution} *)
 
-let solve_rendered ~name ~options ~force_certify ~deadline inst =
+(* The request deadline only governs admission ([run_job]): a started
+   job's outcome depends on the instance and options alone. *)
+let solve_rendered ~name ~options ~force_certify inst =
   let options = if force_certify then { options with Request.certify = true } else options in
   let config = Request.config_of_options options in
   Telemetry.Counter.incr c_solves;
-  (* The request deadline (admission-checked above) also clamps the
-     engine's deadline-bounded phases, so a job admitted near the wire
-     does not overshoot inside patch sweeping. *)
-  let outcome = Eco.Engine.solve ~config ~deadline inst in
+  let outcome = Eco.Engine.solve ~config inst in
   Jsonx.to_string (Request.render_outcome ~name outcome)
 
 (* One solve job: admission deadline, validation, cache lookup with the
@@ -130,7 +129,7 @@ let run_job t ~deadline (spec : Request.solve_spec) =
           failwith "injected failure (For_tests.fail_next_job)";
         let name = inst.Eco.Instance.name in
         let use_cache = t.config.cache && not options.Request.no_cache in
-        if not use_cache then Ok (false, solve_rendered ~name ~options ~force_certify:false ~deadline inst)
+        if not use_cache then Ok (false, solve_rendered ~name ~options ~force_certify:false inst)
         else begin
           let key = Fingerprint.instance inst options in
           match Cache.find t.outcome key with
@@ -139,7 +138,7 @@ let run_job t ~deadline (spec : Request.solve_spec) =
             (* Sampled correctness guard: recompute independently with
                certification on (which also bypasses the cone memo) and
                compare byte-for-byte. *)
-            let fresh = solve_rendered ~name ~options ~force_certify:true ~deadline inst in
+            let fresh = solve_rendered ~name ~options ~force_certify:true inst in
             if String.equal fresh body then Ok (true, body)
             else begin
               Cache.guard_failed t.outcome;
@@ -147,7 +146,7 @@ let run_job t ~deadline (spec : Request.solve_spec) =
               Ok (false, fresh)
             end
           | Cache.Miss ->
-            let body = solve_rendered ~name ~options ~force_certify:false ~deadline inst in
+            let body = solve_rendered ~name ~options ~force_certify:false inst in
             Cache.add t.outcome key ~bytes:(String.length body) body;
             Ok (false, body)
         end

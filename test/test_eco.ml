@@ -201,6 +201,43 @@ let test_exact_is_minimum_by_brute_force () =
   | Some sel -> Alcotest.(check int) "exact = brute-force minimum" !best sel.Eco.Support.cost
   | None -> Alcotest.fail "expected feasible"
 
+(* Every limit of the exact search is counted, so where it stops is a
+   property of the instance, not of the clock: a tiny node budget runs
+   out having booked no more [hs.nodes] than it was given, and when the
+   engine's own budget runs out the minimize_assumptions incumbent
+   stands — identically on every run. *)
+let test_sat_prune_node_budget () =
+  let hs_nodes () = Option.value ~default:0 (List.assoc_opt "hs.nodes" (Telemetry.snapshot ())) in
+  let impl = Gen.Circuits.random_dag ~seed:3 ~inputs:12 ~gates:150 ~outputs:8 () in
+  let inst =
+    Gen.Mutate.make_instance ~name:"budget" ~style:Gen.Mutate.Rewire ~dist:Netlist.Weights.T6
+      ~seed:3 ~n_targets:3 impl
+  in
+  let target = List.hd inst.Eco.Instance.targets in
+  let prune () =
+    let miter = Eco.Miter.build inst (Eco.Window.compute inst) in
+    let tc = Eco.Two_copy.build miter ~m_i:(Eco.Miter.quantify_others miter ~keep:target) ~target in
+    let before = hs_nodes () in
+    match Eco.Sat_prune.minimum_support ~max_nodes:10 tc with
+    | _ -> Alcotest.fail "expected the node budget to run out"
+    | exception Eco.Min_assume.Budget_exhausted ->
+      Alcotest.(check bool) "hs.nodes within the budget" true (hs_nodes () - before <= 10);
+      (hs_nodes () - before, Eco.Two_copy.solver_calls tc)
+  in
+  let first = prune () in
+  Alcotest.(check (pair int int)) "same stop on a second run" first (prune ());
+  let solve () =
+    let before = Telemetry.snapshot () in
+    let o = solve_with Eco.Engine.Exact inst in
+    (o, Telemetry.diff before (Telemetry.snapshot ()))
+  in
+  let ((o1 : Eco.Engine.outcome), d1), ((o2 : Eco.Engine.outcome), d2) = (solve (), solve ()) in
+  check_solved_verified "fallback" o1;
+  Alcotest.(check bool) "incumbent kept" true (List.mem_assoc "sat_prune_fallback" o1.notes);
+  Alcotest.(check (pair int int)) "same cost and gates" (o1.cost, o1.gates) (o2.cost, o2.gates);
+  Alcotest.(check (list (pair string int))) "same notes" o1.notes o2.notes;
+  Alcotest.(check (list (pair string int))) "identical counter deltas" d1 d2
+
 let test_multi_target () =
   let impl = Gen.Circuits.ripple_adder 6 in
   let inst =
@@ -374,8 +411,8 @@ let test_union_cost_conflicting_costs () =
     (Eco.Engine.union_cost ~weights:w [ p1; p2 ])
     (Eco.Engine.union_cost ~weights:w [ p2; p1 ])
 
-(* Regression: when cube enumeration aborts mid-target (budget, cube cap,
-   deadline) the partial solver effort must still reach the outcome and
+(* Regression: when cube enumeration aborts mid-target (conflict budget
+   or cube cap) the partial solver effort must still reach the outcome and
    the telemetry counters, and the engine must fall back to structural. *)
 let test_abort_keeps_solver_effort () =
   let inst = tiny_instance () in
@@ -483,21 +520,19 @@ let test_import_into_order () =
   bits.(3) <- true;
   Alcotest.(check bool) "off-set row" false (Aig.eval host bits lit)
 
-let test_sweep_expired_deadline () =
+let test_sweep_zero_queries () =
   let p = redundant_patch () in
-  let sweep_runs () =
-    match List.assoc_opt "eco.sweep.runs" (Telemetry.snapshot ()) with
-    | Some v -> v
-    | None -> 0
-  in
-  let before = sweep_runs () in
-  (* [Deadline.after] maps non-positive spans to [never], so an expired
-     deadline has to actually expire. *)
-  let d = Deadline.after 1e-6 in
-  Unix.sleepf 0.01;
-  let p' = Eco.Patch.sweep ~deadline:d p in
-  Alcotest.(check bool) "expired deadline skips the sweep" true (p == p');
-  Alcotest.(check int) "no sweep booked" before (sweep_runs ())
+  let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ())) in
+  let runs = counter "eco.sweep.runs" and proved = counter "eco.sweep.proved" in
+  let p' = Eco.Patch.sweep ~max_queries:0 p in
+  Alcotest.(check int) "sweep booked" (runs + 1) (counter "eco.sweep.runs");
+  Alcotest.(check int) "no SAT-confirmed merge" proved (counter "eco.sweep.proved");
+  Alcotest.(check (list (pair string int))) "support intact" p.Eco.Patch.support
+    p'.Eco.Patch.support;
+  List.iter
+    (fun bits ->
+      Alcotest.(check bool) "same function" (Eco.Patch.eval p bits) (Eco.Patch.eval p' bits))
+    [ [| false; false |]; [| false; true |]; [| true; false |]; [| true; true |] ]
 
 let () =
   Alcotest.run "eco"
@@ -527,13 +562,14 @@ let () =
           Alcotest.test_case "min_assume <= baseline" `Slow test_min_assume_not_worse_than_baseline;
           Alcotest.test_case "exact = brute force minimum" `Quick
             test_exact_is_minimum_by_brute_force;
+          Alcotest.test_case "exact: counted node budget" `Quick test_sat_prune_node_budget;
           Alcotest.test_case "bdd patch verifies" `Quick test_bdd_patch_matches;
           bdd_patches_verify_random;
         ] );
       ( "patch",
         [
           Alcotest.test_case "import_into order" `Quick test_import_into_order;
-          Alcotest.test_case "sweep: expired deadline" `Quick test_sweep_expired_deadline;
+          Alcotest.test_case "sweep: zero query cap" `Quick test_sweep_zero_queries;
         ] );
       ("property", [ random_instances_solved ]);
     ]

@@ -61,12 +61,14 @@ let test_patch_sweep () =
         (Eco.Patch.eval p' [| x; y |]))
     [ (false, false); (false, true); (true, false); (true, true) ]
 
-let test_deadline_returns_valid () =
-  (* Even with a zero-ish deadline the sweep must return a correct AIG. *)
+let test_zero_queries_returns_valid () =
+  (* With no SAT queries allowed the sweep must still return a correct
+     AIG, merging nothing it has not proved. *)
   let m = to_aig (Gen.Circuits.multiplier 4) in
-  let swept, _ = Aig.Fraig.sweep ~deadline:0.000001 m in
-  Alcotest.(check bool) "function preserved under deadline" true
-    (truth_tables m = truth_tables swept)
+  let swept, stats = Aig.Fraig.sweep ~max_queries:0 m in
+  Alcotest.(check bool) "function preserved without queries" true
+    (truth_tables m = truth_tables swept);
+  Alcotest.(check int) "no SAT-confirmed merge" 0 stats.Aig.Fraig.proved
 
 let () =
   Alcotest.run "fraig"
@@ -76,7 +78,7 @@ let () =
           Alcotest.test_case "preserves adder" `Quick test_preserves_adder;
           Alcotest.test_case "merges duplicated logic" `Quick test_merges_duplicated_logic;
           Alcotest.test_case "patch sweep" `Quick test_patch_sweep;
-          Alcotest.test_case "deadline safety" `Quick test_deadline_returns_valid;
+          Alcotest.test_case "zero query cap safety" `Quick test_zero_queries_returns_valid;
           sweep_preserves_random_functions;
         ] );
     ]
