@@ -22,7 +22,10 @@
    name or a value option without its value is a one-line error with
    exit code 2, before anything runs or any JSON is written):
    --no-simplify   disable SatELite-style CNF preprocessing in every SAT
-                   call, for A/B counter comparisons
+                   call that would use it, for A/B counter comparisons;
+                   among CEC queries, which solve plain first, it affects
+                   only those escalated past the 1,000-conflict plain
+                   attempt
    -j N            run the Table 1 sweep on N worker domains (default 1;
                    cost/gates/status columns and counter totals are
                    identical to -j 1 — only wall-clock changes)

@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks of the computational kernels behind each
-   experiment: SAT solving on miter CNFs, AIG strashing, Tseitin encoding,
-   cube enumeration, max-flow, and minimize_assumptions. *)
+   experiment: SAT solving on miter CNFs, a small CEC query, the exact
+   hitting set, AIG strashing, Tseitin encoding, cube enumeration,
+   max-flow, and minimize_assumptions. *)
 
 open Bechamel
 open Toolkit
@@ -14,6 +15,33 @@ let sat_miter_test () =
          match Cec.check ~sim_rounds:0 a b with
          | Cec.Equivalent -> ()
          | _ -> failwith "expected equivalent"))
+
+let cec_small_query_test () =
+  (* A query the size of a discovery rectifiability check: decided by the
+     plain attempt, so it measures a CEC call's fixed cost. *)
+  let a = (Netlist.Convert.to_aig (Gen.Circuits.ripple_adder 6)).Netlist.Convert.mgr in
+  let b = (Netlist.Convert.to_aig (Gen.Circuits.carry_select_adder 6)).Netlist.Convert.mgr in
+  let m, miter = Cec.build_miter a b in
+  Test.make ~name:"cec: small query (adder-6 miter)"
+    (Staged.stage (fun () ->
+         match Cec.check_lit m miter with
+         | Cec.Equivalent -> ()
+         | _ -> failwith "expected equivalent"))
+
+let hs_minimum_test () =
+  (* A clause set the size of unit20's exact search: 2,382 divisors and
+     48 refinement clauses of about 757 of them each.  The complete search
+     visits 11,069 branch-and-bound nodes. *)
+  let rand = Random.State.make [| 20 |] in
+  let n = 2_382 in
+  let weights = Array.init n (fun _ -> 1 + Random.State.int rand 100) in
+  let clauses =
+    List.init 48 (fun _ ->
+        List.filter (fun _ -> Random.State.int rand n < 757) (List.init n Fun.id))
+  in
+  let hs = Diff.Hitting_set.of_list ~weights clauses in
+  Test.make ~name:"hs: minimum (unit20-sized, 11k nodes)"
+    (Staged.stage (fun () -> ignore (Diff.Hitting_set.minimum hs)))
 
 let strash_test () =
   Test.make ~name:"aig: strash multiplier-8"
@@ -92,6 +120,8 @@ let run () =
     Test.make_grouped ~name:"kernels"
       [
         sat_miter_test ();
+        cec_small_query_test ();
+        hs_minimum_test ();
         strash_test ();
         cnf_test ();
         simulate_test ();

@@ -129,7 +129,7 @@ let solve_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Stream structured trace events (JSON Lines) to $(docv) while solving.")
   in
   let no_simplify =
-    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing (subsumption, self-subsuming resolution, bounded variable elimination, failed-literal probing) in every SAT call; reproduces the pre-simplification solver behaviour and counters.")
+    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing (subsumption, self-subsuming resolution, bounded variable elimination, failed-literal probing) in every SAT call that would use it; reproduces the pre-simplification solver behaviour and counters.  CEC queries solve plain first anyway, so among them it affects only those escalated past the 1,000-conflict plain attempt.")
   in
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict: models are evaluated against the original clause sets and UNSAT answers re-derived with their resolution proofs replayed by a standalone checker.  Exits non-zero if any check fails.")
@@ -261,7 +261,7 @@ let batch_cmd =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip the verification ladder.")
   in
   let no_simplify =
-    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing in every SAT call.")
+    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing in every SAT call that would use it; among CEC queries, only those escalated past the 1,000-conflict plain attempt.")
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print merged telemetry (counter totals and per-domain-merged phase timers) after the batch.")
@@ -603,7 +603,9 @@ let () =
       `P "$(b,--trace) $(i,FILE): stream structured trace events (JSON Lines) to \
           $(i,FILE) while solving; the last event is a counter summary.";
       `P "$(b,--no-simplify): disable SatELite-style CNF preprocessing in every SAT \
-          call (escape hatch for debugging and A/B counter comparisons).";
+          call that would use it (escape hatch for debugging and A/B counter \
+          comparisons).  CEC queries solve plain first anyway, so among them it \
+          affects only those escalated past the 1,000-conflict plain attempt.";
       `S "SERVER AND CLIENT";
       `P "$(b,serve) runs a long-lived daemon speaking the length-prefixed JSON \
           protocol documented in PROTOCOL.md over a Unix-domain socket or TCP \

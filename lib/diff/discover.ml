@@ -259,7 +259,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
        soundness (an insufficiency witness for S on cone(o) also defeats
        any T with T ∩ TFI(o) ⊆ S, because the values T's patch induces on
        S's freed signals reproduce the same mismatch). *)
-    let clauses = ref (List.map snd cone_members) in
+    let clauses = Hitting_set.of_list ~weights:hs_weights (List.map snd cone_members) in
     let iterations = ref 0 in
     let checks = ref 0 in
     let minimum = ref true in
@@ -277,17 +277,17 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
              candidate pool.  Accepted unverified below. *)
           Telemetry.Counter.incr tc_fallbacks;
           minimum := false;
-          match Hitting_set.greedy ~weights:hs_weights !clauses with
+          match Hitting_set.greedy clauses with
           | Some s -> s
           | None -> all_indices
         end
         else
-          match Hitting_set.minimum ~max_nodes:config.hs_max_nodes ~weights:hs_weights !clauses with
+          match Hitting_set.minimum ~max_nodes:config.hs_max_nodes clauses with
           | Some s -> s
           | None -> failwith "Discover.run: refinement produced an empty clause"
           | exception Hitting_set.Node_limit -> (
             minimum := false;
-            match Hitting_set.greedy ~weights:hs_weights !clauses with
+            match Hitting_set.greedy clauses with
             | Some s -> s
             | None -> failwith "Discover.run: refinement produced an empty clause")
       in
@@ -326,7 +326,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
           cone_members;
       if !refinements <> [] then begin
         Telemetry.Counter.add tc_refinements (List.length !refinements);
-        clauses := !refinements @ !clauses
+        List.iter (Hitting_set.add clauses) !refinements
       end
       else begin
         (* Joint check: all mismatched outputs plus any anchored output
@@ -355,7 +355,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
           | [] -> found := Some s_names
           | cl ->
             Telemetry.Counter.incr tc_refinements;
-            clauses := cl :: !clauses)
+            Hitting_set.add clauses cl)
       end
     done;
     let targets = Option.get !found in

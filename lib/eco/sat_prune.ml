@@ -4,7 +4,7 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?inc
   let n = Two_copy.n_divisors tc in
   let weights = Array.init n (fun i -> (Two_copy.divisor tc i).Miter.div_cost) in
   let calls0 = Two_copy.solver_calls tc in
-  let clauses = ref [] in
+  let clauses = Diff.Hitting_set.create ~weights in
   let iterations = ref 0 in
   let nodes = ref 0 in
   let result = ref None in
@@ -12,7 +12,7 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?inc
     incr iterations;
     if !iterations > max_iterations then raise Min_assume.Budget_exhausted;
     match
-      try Diff.Hitting_set.minimum ~max_nodes:(max_nodes - !nodes) ~nodes ~weights !clauses
+      try Diff.Hitting_set.minimum ~max_nodes:(max_nodes - !nodes) ~nodes clauses
       with Diff.Hitting_set.Node_limit -> raise Min_assume.Budget_exhausted
     with
     | None ->
@@ -43,10 +43,7 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?inc
                    sat_calls = Two_copy.solver_calls tc - calls0;
                  })
         end
-        else begin
-          let clause = Two_copy.model_divisor_mismatch tc in
-          clauses := clause :: !clauses
-        end)
+        else Diff.Hitting_set.add clauses (Two_copy.model_divisor_mismatch tc))
   done;
   match !result with
   | Some sel -> { selection = sel; iterations = !iterations }

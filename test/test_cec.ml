@@ -58,6 +58,40 @@ let test_budget_undecided () =
   | Cec.Counterexample _ -> Alcotest.fail "identical circuits cannot differ"
   | Cec.Equivalent | Cec.Undecided -> ()
 
+(* [a * b] against [b * a]: a miter random simulation cannot settle and
+   plain CDCL needs thousands of conflicts for, at 5 bits. *)
+let commuted_multiplier_miter n =
+  let mul = to_aig (Gen.Circuits.multiplier n) in
+  let m = Aig.create () in
+  let xs = Aig.add_inputs m n in
+  let ys = Aig.add_inputs m n in
+  let side first second =
+    let map = Aig.fresh_map mul in
+    Array.iteri
+      (fun i l -> map.(Aig.node_of l) <- (if i < n then first.(i) else second.(i - n)))
+      (Aig.inputs mul);
+    Aig.import m mul ~map (Array.to_list (Aig.outputs mul))
+  in
+  (m, Aig.or_list m (List.map2 (Aig.xor_ m) (side xs ys) (side ys xs)))
+
+let escalations () =
+  Option.value ~default:0 (List.assoc_opt "cec.escalations" (Telemetry.snapshot ()))
+
+let test_escalation () =
+  let m, miter = commuted_multiplier_miter 5 in
+  let before = escalations () in
+  (match Cec.check_lit_certified m miter with
+  | Cec.Equivalent, Some Cec.Certified -> ()
+  | Cec.Equivalent, _ -> Alcotest.fail "equivalence not certified"
+  | (Cec.Counterexample _ | Cec.Undecided), _ -> Alcotest.fail "a * b = b * a");
+  Alcotest.(check int) "one escalation past the plain attempt" 1 (escalations () - before);
+  let before = escalations () in
+  let x = (Aig.inputs m).(0) and y = (Aig.inputs m).(1) in
+  (match Cec.check_lit m (Aig.and_ m x y) with
+  | Cec.Counterexample _ -> ()
+  | _ -> Alcotest.fail "x & y is satisfiable");
+  Alcotest.(check int) "a trivial query stays plain" 0 (escalations () - before)
+
 let test_arity_mismatch () =
   let a = to_aig (Gen.Circuits.parity_tree 3) in
   let b = to_aig (Gen.Circuits.parity_tree 4) in
@@ -84,6 +118,7 @@ let () =
           Alcotest.test_case "check_lit" `Quick test_check_lit;
           Alcotest.test_case "budget undecided" `Quick test_budget_undecided;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
+          Alcotest.test_case "hard query escalates once" `Quick test_escalation;
         ] );
       ("property", [ sim_catches_easy_bugs ]);
     ]
