@@ -38,9 +38,7 @@ type row = {
   counters : Telemetry.snapshot;
 }
 
-let config_for (spec : Gen.Suite.unit_spec) =
-  Server.Request.config_of_options
-    { Server.Request.default_options with Server.Request.structural = spec.Gen.Suite.structural }
+let config_for spec = Server.Request.config_of_options (Server.Request.suite_options spec)
 
 let summarize (o : Eco.Engine.outcome) =
   {

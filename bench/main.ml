@@ -21,11 +21,6 @@
    Options (anywhere in argv; an unknown option, a second experiment
    name or a value option without its value is a one-line error with
    exit code 2, before anything runs or any JSON is written):
-   --no-simplify   disable SatELite-style CNF preprocessing in every SAT
-                   call that would use it, for A/B counter comparisons;
-                   among CEC queries, which solve plain first, it affects
-                   only those escalated past the 1,000-conflict plain
-                   attempt
    -j N            run the Table 1 sweep on N worker domains (default 1;
                    cost/gates/status columns and counter totals are
                    identical to -j 1 — only wall-clock changes)
@@ -69,7 +64,6 @@ let positive flag n =
   | _ -> usage "%s expects a positive integer, got %S" flag n
 
 let () =
-  let no_simplify = ref false in
   let verify = ref true in
   let certify = ref false in
   let no_cache = ref false in
@@ -90,7 +84,6 @@ let () =
   in
   let rec parse = function
     | [] -> ()
-    | "--no-simplify" :: rest -> no_simplify := true; parse rest
     | "--no-verify" :: rest -> verify := false; parse rest
     | "--certify" :: rest -> certify := true; parse rest
     | "--no-cache" :: rest -> no_cache := true; parse rest
@@ -109,7 +102,6 @@ let () =
       | Some w -> usage "unexpected argument %S after experiment %S" a w)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !no_simplify then Sat.Simplify.enabled := false;
   let what = Option.value !what ~default:"all" in
   let verify = !verify and certify = !certify and jobs = !jobs in
   let json_or default = Option.value !json ~default in

@@ -45,15 +45,7 @@ let connect_retry address =
 let spec_request ~certify ~no_cache (spec : Gen.Suite.unit_spec) =
   {
     Server.Request.source = Server.Request.Unit_name spec.Gen.Suite.u_name;
-    options =
-      {
-        Server.Request.default_options with
-        Server.Request.certify;
-        (* Mirror `eco_cli batch`: structural suite units take the
-           structural path with its trimmed verification budget. *)
-        structural = spec.Gen.Suite.structural;
-        no_cache;
-      };
+    options = { (Server.Request.suite_options spec) with certify; no_cache };
   }
 
 let json_escape = Telemetry.Json.escape

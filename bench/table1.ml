@@ -30,13 +30,7 @@ let method_names = [| "w/o minimize_assumptions"; "w/ minimize_assumptions"; "SA
    patches). *)
 let config_for ?(verify = true) ?(certify = false) (spec : Gen.Suite.unit_spec) method_ =
   Server.Request.config_of_options
-    {
-      Server.Request.default_options with
-      Server.Request.method_;
-      certify;
-      verify;
-      structural = spec.Gen.Suite.structural;
-    }
+    { (Server.Request.suite_options ~method_ spec) with certify; verify }
 
 (* Counter deltas come from [local_snapshot]: a unit runs entirely on one
    domain, so diffing the domain-local tallies attributes exactly this

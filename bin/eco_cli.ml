@@ -114,7 +114,7 @@ let solve_cmd =
     Arg.(value & opt method_conv Eco.Engine.Min_assume & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"Support computation: baseline, min_assume (default) or exact.")
   in
   let structural =
-    Arg.(value & flag & info [ "structural" ] ~doc:"Skip the SAT pipeline; compute a structural patch directly (skips the feasibility check and trims the verification budget, as $(b,batch) does for structural units).")
+    Arg.(value & flag & info [ "structural" ] ~doc:"Skip the SAT pipeline; compute a structural patch directly (skips the feasibility check and trims the verification budget).  Suite units flagged structural take this path under $(b,--unit) and in $(b,batch) without the flag.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the patched implementation netlist here.")
@@ -128,9 +128,6 @@ let solve_cmd =
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Stream structured trace events (JSON Lines) to $(docv) while solving.")
   in
-  let no_simplify =
-    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing (subsumption, self-subsuming resolution, bounded variable elimination, failed-literal probing) in every SAT call that would use it; reproduces the pre-simplification solver behaviour and counters.  CEC queries solve plain first anyway, so among them it affects only those escalated past the 1,000-conflict plain attempt.")
-  in
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict: models are evaluated against the original clause sets and UNSAT answers re-derived with their resolution proofs replayed by a standalone checker.  Exits non-zero if any check fails.")
   in
@@ -138,9 +135,8 @@ let solve_cmd =
     Arg.(value & flag & info [ "discover" ] ~doc:"Discover the target signals first by SAT-based diffing of the implementation against the specification ($(b,--target) becomes optional; any given targets are ignored), then solve for the discovered set.  The discovered targets are advisory: the solve re-establishes feasibility and the patch is verified as usual.")
   in
   let run impl_file spec_file targets unit_name weights method_ structural out budget stats trace
-      no_simplify certify discover =
+      certify discover =
     protect @@ fun () ->
-    if no_simplify then Sat.Simplify.enabled := false;
     if budget < 0 then usage "--budget expects a non-negative conflict count";
     let instance =
       resolve
@@ -168,14 +164,15 @@ let solve_cmd =
       0
     end
     else begin
+    (* A suite unit starts from its Table 1 row's options, so it
+       reproduces the committed row; --structural can only add to them. *)
+    let base =
+      match unit_name with
+      | Some u -> Server.Request.suite_options ~method_ (Gen.Suite.find u)
+      | None -> { Server.Request.default_options with Server.Request.method_ }
+    in
     let options =
-      {
-        Server.Request.default_options with
-        Server.Request.method_;
-        certify;
-        structural;
-        budget;
-      }
+      { base with certify; budget; structural = base.Server.Request.structural || structural }
     in
     let config = Server.Request.config_of_options options in
     (match trace with Some path -> Telemetry.sink_to_file path | None -> ());
@@ -204,8 +201,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ impl_file $ spec_file $ targets $ unit_name $ weights $ method_ $ structural
-      $ out $ budget $ stats $ trace $ no_simplify $ certify
-      $ discover)
+      $ out $ budget $ stats $ trace $ certify $ discover)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute ECO patch functions for the given targets.") term
 
@@ -260,18 +256,14 @@ let batch_cmd =
   let no_verify =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip the verification ladder.")
   in
-  let no_simplify =
-    Arg.(value & flag & info [ "no-simplify" ] ~doc:"Disable SatELite-style CNF preprocessing in every SAT call that would use it; among CEC queries, only those escalated past the 1,000-conflict plain attempt.")
-  in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print merged telemetry (counter totals and per-domain-merged phase timers) after the batch.")
   in
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict of every unit; the batch fails if any check fails.")
   in
-  let run units jobs method_ no_verify no_simplify stats certify =
+  let run units jobs method_ no_verify stats certify =
     protect @@ fun () ->
-    if no_simplify then Sat.Simplify.enabled := false;
     if jobs < 1 then usage "-j expects a positive worker count";
     let specs =
       match units with
@@ -284,15 +276,9 @@ let batch_cmd =
             | spec -> spec)
           names
     in
-    let config_for (spec : Gen.Suite.unit_spec) =
+    let config_for spec =
       Server.Request.config_of_options
-        {
-          Server.Request.default_options with
-          Server.Request.method_;
-          certify;
-          structural = spec.Gen.Suite.structural;
-          verify = not no_verify;
-        }
+        { (Server.Request.suite_options ~method_ spec) with certify; verify = not no_verify }
     in
     let solve_unit spec =
       let inst = Gen.Suite.instantiate spec in
@@ -338,7 +324,7 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Solve a list of benchmark units, optionally in parallel over worker domains.")
-    Term.(const run $ units $ jobs $ method_ $ no_verify $ no_simplify $ stats $ certify)
+    Term.(const run $ units $ jobs $ method_ $ no_verify $ stats $ certify)
 
 (* {2 suite} *)
 
@@ -597,15 +583,12 @@ let () =
          against its specification.";
       `S "COMMON SOLVE OPTIONS";
       `P "$(b,--unit) $(i,UNIT): solve a built-in benchmark unit (unit1 .. unit20) \
-          instead of passing $(b,--impl)/$(b,--spec) netlists.";
+          instead of passing $(b,--impl)/$(b,--spec) netlists, with the options of \
+          its Table 1 row (units flagged structural take the structural path).";
       `P "$(b,--stats): print telemetry after solving — per-phase wall-clock timers \
           and the SAT/ECO counter table.";
       `P "$(b,--trace) $(i,FILE): stream structured trace events (JSON Lines) to \
           $(i,FILE) while solving; the last event is a counter summary.";
-      `P "$(b,--no-simplify): disable SatELite-style CNF preprocessing in every SAT \
-          call that would use it (escape hatch for debugging and A/B counter \
-          comparisons).  CEC queries solve plain first anyway, so among them it \
-          affects only those escalated past the 1,000-conflict plain attempt.";
       `S "SERVER AND CLIENT";
       `P "$(b,serve) runs a long-lived daemon speaking the length-prefixed JSON \
           protocol documented in PROTOCOL.md over a Unix-domain socket or TCP \

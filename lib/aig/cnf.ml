@@ -2,23 +2,15 @@ type env = {
   mgr : Graph.t;
   solver : Sat.Solver.t;
   part : Sat.Proof.part option; (* interpolation partition for added clauses *)
-  simp : Sat.Simplify.t option; (* preprocessor interposed on added clauses *)
   mutable vars : int array; (* node id -> solver var, -1 if none *)
 }
 
-let create ?part ?simp mgr solver =
-  (match (part, simp) with
-  | Some _, Some _ -> invalid_arg "Aig.Cnf.create: ~part and ~simp are exclusive"
-  | _, Some s when Sat.Simplify.solver s != solver ->
-    invalid_arg "Aig.Cnf.create: ~simp wraps a different solver"
-  | _ -> ());
-  { mgr; solver; part; simp; vars = Array.make (Graph.num_nodes mgr) (-1) }
+let create ?part mgr solver = { mgr; solver; part; vars = Array.make (Graph.num_nodes mgr) (-1) }
 
 let emit env clause =
-  match (env.part, env.simp) with
-  | None, None -> Sat.Solver.add_clause env.solver clause
-  | Some part, _ -> Sat.Solver.add_clause_part env.solver part clause
-  | None, Some simp -> Sat.Simplify.add_clause simp clause
+  match env.part with
+  | None -> Sat.Solver.add_clause env.solver clause
+  | Some part -> Sat.Solver.add_clause_part env.solver part clause
 
 let solver env = env.solver
 let manager env = env.mgr
@@ -39,7 +31,7 @@ let var_of_node env id =
     let v = Sat.Solver.new_var env.solver in
     env.vars.(id) <- v;
     if Graph.is_const id then
-      (* Constant-false node: freeze its variable to 0. *)
+      (* Constant-false node: fix its variable to 0. *)
       emit env [ Sat.Lit.make_neg v ];
     v
   end

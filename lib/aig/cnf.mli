@@ -7,18 +7,17 @@
 
 type env
 
-val create : ?part:Sat.Proof.part -> ?simp:Sat.Simplify.t -> Graph.t -> Sat.Solver.t -> env
+val create : ?part:Sat.Proof.part -> Graph.t -> Sat.Solver.t -> env
 (** [part] tags every emitted clause with an interpolation partition
     (requires a proof-logging solver); used by the interpolation-based
-    patch computation.  [simp] routes every emitted clause through a
-    {!Sat.Simplify} preprocessor wrapping the same solver — the caller is
-    then responsible for freezing each literal it reads back with
-    {!Sat.Simplify.value}.  The two options are mutually exclusive. *)
+    patch computation.  Without it, clauses go through
+    {!Sat.Solver.add_clause}, so a tap installed with
+    {!Sat.Solver.set_tap} sees every one of them. *)
 
 val lit : env -> Graph.lit -> Sat.Lit.t
 (** [lit env l] returns the solver literal for AIG literal [l], encoding the
     cone of [l] (clauses for every AND node not yet encoded) on demand.
-    The constant is encoded with a dedicated frozen variable. *)
+    The constant is encoded with a dedicated variable fixed to false. *)
 
 val lit_opt : env -> Graph.lit -> Sat.Lit.t option
 (** Like {!lit} but returns [None] instead of encoding when the node has no

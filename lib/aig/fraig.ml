@@ -1,7 +1,8 @@
 type stats = {
   sim_classes : int;
   proved : int;
-  disproved : int;
+  refuted : int;
+  undecided : int;
   nodes_before : int;
   nodes_after : int;
 }
@@ -29,7 +30,7 @@ let normalize sig_ =
    counterexamples mean the signatures were too coarse and the caller
    should refine and retry. *)
 let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
-    stats_proved stats_disproved stats_classes =
+    stats_proved stats_refuted stats_undecided stats_classes =
   let outs = Array.to_list (Graph.outputs mgr) in
   let solver = Sat.Solver.create () in
   let env = Cnf.create mgr solver in
@@ -53,7 +54,8 @@ let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr r
     let x = Graph.xor_ mgr a b in
     if x = Graph.false_ then true
     else if x = Graph.true_ then false
-    else if !stats_disproved >= max_disproofs || !queries >= max_queries then false
+    else if !stats_refuted + !stats_undecided >= max_disproofs || !queries >= max_queries then
+      false
     else begin
       incr queries;
       Sat.Solver.set_budget solver budget;
@@ -63,11 +65,11 @@ let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr r
         incr stats_proved;
         true
       | Sat.Solver.Sat ->
-        incr stats_disproved;
+        incr stats_refuted;
         record_cex ();
         false
       | Sat.Solver.Unknown ->
-        incr stats_disproved;
+        incr stats_undecided;
         false
     end
   in
@@ -122,7 +124,8 @@ let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
   let n0 = Graph.num_nodes mgr in
   let reachable = Graph.tfi_mark mgr outs in
   let sigs = random_signatures ~rounds ~seed mgr in
-  let proved = ref 0 and disproved = ref 0 and classes = ref 0 and queries = ref 0 in
+  let proved = ref 0 and refuted = ref 0 and undecided = ref 0 in
+  let classes = ref 0 and queries = ref 0 in
   let result = ref None in
   let passes = ref 0 in
   (* Counterexample-guided refinement: a pass that refutes many candidates
@@ -132,7 +135,7 @@ let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
     incr passes;
     let dst, cexs =
       merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
-        proved disproved classes
+        proved refuted undecided classes
     in
     if List.length cexs < 4 || !passes >= max_passes then result := Some dst
     else begin
@@ -154,7 +157,8 @@ let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
     {
       sim_classes = !classes;
       proved = !proved;
-      disproved = !disproved;
+      refuted = !refuted;
+      undecided = !undecided;
       nodes_before = Graph.count_cone_ands mgr outs;
       nodes_after = Graph.count_cone_ands dst (Array.to_list (Graph.outputs dst));
     } )

@@ -10,7 +10,8 @@
 type stats = {
   sim_classes : int;  (** non-singleton signature classes examined *)
   proved : int;  (** SAT-confirmed merges *)
-  disproved : int;
+  refuted : int;  (** candidates the SAT query showed inequivalent *)
+  undecided : int;  (** candidates whose query hit the conflict budget *)
   nodes_before : int;
   nodes_after : int;
 }
@@ -29,6 +30,6 @@ val sweep :
     inputs (in order), with proven-equivalent internal nodes shared.
     [budget] caps conflicts per equivalence query (default 2000); an
     undecided query is treated as inequivalent.  Once the sweep has made
-    [max_queries] SAT queries (default unlimited) or refuted
-    [max_disproofs] candidates (default 500) over all its passes, the
-    remaining candidates stay unmerged. *)
+    [max_queries] SAT queries (default unlimited) or has
+    [max_disproofs] refuted plus undecided candidates (default 500) over
+    all its passes, the remaining candidates stay unmerged. *)

@@ -44,9 +44,9 @@ let cex_fires m l cex =
 let replay_counterexample = cex_fires
 
 (* Conflict budget for the certifying re-derivation: proof-mode solving is
-   slower (no clause minimization, no preprocessing), so a bounded primary
-   search gets a proportionally larger bound rather than a spurious
-   Check_failed. *)
+   slower (no clause minimization, no level-0 literal removal), so a
+   bounded primary search gets a proportionally larger bound rather than
+   a spurious Check_failed. *)
 let recert_budget budget = if budget > 0 then 10 * budget else 0
 
 (* Cross-request verdict memo (the server's cone cache).  Installed once
@@ -64,86 +64,50 @@ let memo_hook : memo option ref = ref None
 
 let set_memo m = memo_hook := m
 
-(* Conflict cap of a query's first, plain attempt.  Most queries are
-   decided far below it, where preprocessing a fresh solver would cost
-   more than the search it saves; the rest escalate. *)
-let plain_conflicts = 1_000
-
-let tc_escalations = Telemetry.Counter.make "cec.escalations"
-
-(* One SAT attempt on a fresh solver: [Some] decisive verdict (and its
-   certification when [certify]), or [None] when the budget ran out. *)
-let attempt ~certify ~simplify ~budget ~recert m l =
-  let solver = Sat.Solver.create () in
-  let simp =
-    if simplify then Sat.Simplify.create solver else Sat.Simplify.create ~enabled:false solver
-  in
-  let log = if certify then Some (Cert.attach simp) else None in
-  if budget > 0 then Sat.Solver.set_budget solver budget;
-  let env = Aig.Cnf.create ~simp m solver in
-  let sl = Aig.Cnf.lit env l in
-  Sat.Simplify.add_clause simp [ sl ];
-  (* Counterexamples read every encoded input back from the model. *)
-  Array.iter
-    (fun il ->
-      match Aig.Cnf.lit_opt env il with
-      | Some sl -> Sat.Simplify.freeze simp sl
-      | None -> ())
-    (Aig.inputs m);
-  match Sat.Simplify.solve simp with
-  | Sat.Solver.Unsat ->
-    let cert =
-      Option.map
-        (fun log ->
-          Cert.record "cec.unsat"
-            (Cert.certify_unsat ~budget:(recert_budget recert) log ~assumptions:[]))
-        log
-    in
-    Some (Equivalent, cert)
-  | Sat.Solver.Unknown -> None
-  | Sat.Solver.Sat ->
-    let cex =
-      Array.map
-        (fun il ->
-          match Aig.Cnf.lit_opt env il with
-          | Some sl -> Sat.Simplify.value simp sl
-          | None -> false (* input outside the encoded cone: don't care *))
-        (Aig.inputs m)
-    in
-    let cert =
-      Option.map
-        (fun log ->
-          Cert.record "cec.sat"
-            (match Cert.certify_sat log ~value:(Sat.Simplify.value simp) with
-            | Check_failed _ as f -> f
-            | Certified ->
-              if cex_fires m l cex then Certified
-              else Check_failed "counterexample does not fire on the AIG"))
-        log
-    in
-    Some (Counterexample cex, cert)
-
-(* Plain first; only a query that outlives [plain_conflicts] gets a
-   preprocessed solver and the caller's whole budget.  Equivalence or a
-   counterexample does not depend on the solver that found it, so the
-   two paths can differ only in which budget-bound queries they decide. *)
+(* One SAT query on a fresh solver, capped at the caller's budget. *)
 let check_lit_cert_fresh ~certify ~budget m l =
   Telemetry.with_phase "cec" @@ fun () ->
   if l = Aig.false_ then
     (* Structurally constant-false: nothing was solved, nothing to check. *)
     (count_verdict Equivalent, if certify then Some (Cert.record "cec.const" Certified) else None)
   else begin
-    let plain = if budget > 0 then min budget plain_conflicts else plain_conflicts in
-    let decided =
-      match attempt ~certify ~simplify:false ~budget:plain ~recert:budget m l with
-      | Some _ as d -> d
-      | None ->
-        Telemetry.Counter.incr tc_escalations;
-        attempt ~certify ~simplify:true ~budget ~recert:budget m l
-    in
-    match decided with
-    | Some (v, cert) -> (count_verdict v, cert)
-    | None -> (count_verdict Undecided, None)
+    let solver = Sat.Solver.create () in
+    let log = if certify then Some (Cert.attach solver) else None in
+    if budget > 0 then Sat.Solver.set_budget solver budget;
+    let env = Aig.Cnf.create m solver in
+    Sat.Solver.add_clause solver [ Aig.Cnf.lit env l ];
+    match Sat.Solver.solve solver with
+    | Sat.Solver.Unknown -> (count_verdict Undecided, None)
+    | Sat.Solver.Unsat ->
+      let cert =
+        Option.map
+          (fun log ->
+            Cert.record "cec.unsat"
+              (Cert.certify_unsat ~budget:(recert_budget budget) log ~assumptions:[]))
+          log
+      in
+      (count_verdict Equivalent, cert)
+    | Sat.Solver.Sat ->
+      let cex =
+        Array.map
+          (fun il ->
+            match Aig.Cnf.lit_opt env il with
+            | Some sl -> Sat.Solver.value solver sl
+            | None -> false (* input outside the encoded cone: don't care *))
+          (Aig.inputs m)
+      in
+      let cert =
+        Option.map
+          (fun log ->
+            Cert.record "cec.sat"
+              (match Cert.certify_sat log ~value:(Sat.Solver.value solver) with
+              | Check_failed _ as f -> f
+              | Certified ->
+                if cex_fires m l cex then Certified
+                else Check_failed "counterexample does not fire on the AIG"))
+          log
+      in
+      (count_verdict (Counterexample cex), cert)
   end
 
 let check_lit_cert ~certify ~budget m l =

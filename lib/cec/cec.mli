@@ -10,14 +10,9 @@ type verdict =
 type certification = Cert.verdict = Certified | Check_failed of string
 (** Result of independently validating a verdict (see {!Cert}). *)
 
-(** Every SAT query first runs on a plain solver capped at
-    {!plain_conflicts} conflicts (or the caller's budget, if smaller).
-    Only a query that outlives that attempt runs on a fresh solver with
-    SatELite preprocessing ({!Sat.Simplify}) and the caller's whole
-    budget; each such escalation books the [cec.escalations] counter. *)
-
-val plain_conflicts : int
-(** The plain attempt's conflict cap: 1,000. *)
+(** Every SAT query is one attempt on a fresh plain solver
+    ({!Sat.Solver}), capped at the caller's [?budget] conflicts (0, the
+    default, is unlimited); an exhausted budget gives [Undecided]. *)
 
 val check : ?budget:int -> ?sim_rounds:int -> ?seed:int -> Aig.t -> Aig.t -> verdict
 (** [check a b] compares two AIGs output-by-output.  They must have the

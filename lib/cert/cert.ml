@@ -1,12 +1,11 @@
 (* Certification of final solver verdicts.
 
    A [log] records the original clause set of one solver — attached as a
-   tap on the solver's [Sat.Simplify] front end, it sees every clause
-   exactly as the caller stated it, before preprocessing.  Against that
-   log:
+   tap on the solver, it sees every clause exactly as the caller stated
+   it, before the solver's own cleanup.  Against that log:
 
-   - SAT answers are certified by evaluating the (extension-stack
-     extended) model on every recorded clause ([certify_sat]);
+   - SAT answers are certified by evaluating the model on every recorded
+     clause ([certify_sat]);
    - UNSAT answers are certified by re-deriving them in a fresh
      proof-logging solver over the recorded clauses (plus the claimed
      assumption core as unit clauses) and replaying the resulting
@@ -42,9 +41,9 @@ let record_clause log lits =
   Array.iter (fun l -> log.max_var <- max log.max_var (Sat.Lit.var l)) lits;
   Sat.Vec.push log.clauses lits
 
-let attach simp =
+let attach solver =
   let log = create_log () in
-  Sat.Simplify.set_tap simp (record_clause log);
+  Sat.Solver.set_tap solver (record_clause log);
   log
 
 let n_clauses log = Sat.Vec.size log.clauses

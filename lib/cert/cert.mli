@@ -3,12 +3,11 @@
     The solver stack answers "this clause set is satisfiable (here is a
     model)" or "unsatisfiable (trust me / here is a core)".  This layer
     validates those answers against the {e original} clause set of the
-    solver, recorded by a tap on the {!Sat.Simplify} front end before
-    any preprocessing:
+    solver, recorded by a tap on the solver ({!Sat.Solver.set_tap})
+    before the solver drops or shortens anything:
 
-    - a SAT verdict is certified by evaluating the model (as extended
-      over eliminated variables by the simplifier's extension stack) on
-      every recorded clause;
+    - a SAT verdict is certified by evaluating the model on every
+      recorded clause;
     - an UNSAT verdict — with or without an assumption core — is
       certified by re-deriving it in a fresh proof-logging solver over
       the recorded clauses plus the core literals as unit clauses, then
@@ -30,22 +29,17 @@ type verdict = Certified | Check_failed of string
 type log
 (** The recorded original clause set of one solver. *)
 
-val create_log : unit -> log
-
-val attach : Sat.Simplify.t -> log
-(** Creates a log and installs it as the simplifier's clause tap: every
-    clause subsequently added through the simplifier is recorded.  Call
-    before the first clause is added. *)
-
-val record_clause : log -> Sat.Lit.t array -> unit
-(** Manual recording for clauses that bypass a simplifier. *)
+val attach : Sat.Solver.t -> log
+(** Creates a log and installs it as the solver's clause tap: every
+    clause subsequently added through {!Sat.Solver.add_clause} /
+    {!Sat.Solver.add_clause_a} is recorded.  Call before the first
+    clause is added. *)
 
 val n_clauses : log -> int
 
 val certify_sat : log -> value:(Sat.Lit.t -> bool) -> verdict
-(** Certifies a SAT verdict: [value] (typically {!Sat.Simplify.value} on
-    the solver's simplifier, which replays the model-extension stack)
-    must satisfy every recorded clause. *)
+(** Certifies a SAT verdict: [value] (typically {!Sat.Solver.value} on
+    the solver) must satisfy every recorded clause. *)
 
 val certify_unsat : ?budget:int -> log -> assumptions:Sat.Lit.t list -> verdict
 (** Certifies an UNSAT verdict: the recorded clauses together with the

@@ -47,7 +47,8 @@ let pp ppf p =
 let tc_sweep_runs = Telemetry.Counter.make "eco.sweep.runs"
 let tc_sweep_classes = Telemetry.Counter.make "eco.sweep.sim_classes"
 let tc_sweep_proved = Telemetry.Counter.make "eco.sweep.proved"
-let tc_sweep_disproved = Telemetry.Counter.make "eco.sweep.disproved"
+let tc_sweep_refuted = Telemetry.Counter.make "eco.sweep.refuted"
+let tc_sweep_undecided = Telemetry.Counter.make "eco.sweep.undecided"
 let tc_sweep_removed = Telemetry.Counter.make "eco.sweep.nodes_removed"
 
 (* The default query cap binds only on unit19's ~1,900-gate patches in
@@ -66,7 +67,8 @@ let sweep ?(max_queries = 500) p =
   Telemetry.Counter.incr tc_sweep_runs;
   Telemetry.Counter.add tc_sweep_classes stats.Aig.Fraig.sim_classes;
   Telemetry.Counter.add tc_sweep_proved stats.Aig.Fraig.proved;
-  Telemetry.Counter.add tc_sweep_disproved stats.Aig.Fraig.disproved;
+  Telemetry.Counter.add tc_sweep_refuted stats.Aig.Fraig.refuted;
+  Telemetry.Counter.add tc_sweep_undecided stats.Aig.Fraig.undecided;
   Telemetry.Counter.add tc_sweep_removed
     (max 0 (stats.Aig.Fraig.nodes_before - stats.Aig.Fraig.nodes_after));
   make ?sop:p.sop ~target:p.target ~support:p.support swept

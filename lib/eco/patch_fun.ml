@@ -42,26 +42,15 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Mite
   in
   let k = Array.length divisors in
   let solver = Sat.Solver.create () in
-  (* Preprocessing stays opt-out here: cube enumeration consumes onset
-     models, and variable elimination perturbs which witness each solve
-     returns — harmless logically, but the greedy prime-cover then needs a
-     different (often far larger) cube set, changing patch gates.  The
-     [enabled] toggle still applies so A/B runs stay meaningful. *)
-  let simp = Sat.Simplify.create ~enabled:false solver in
   (* The tap also records the blocking clauses added during enumeration, so
      each certification checks the claim against the clause set the solver
      actually held at that point. *)
-  let cert_log = if certify then Some (Cert.attach simp) else None in
+  let cert_log = if certify then Some (Cert.attach solver) else None in
   let cert_budget = if budget > 0 then 10 * budget else 0 in
-  let env = Aig.Cnf.create ~simp miter.Miter.mgr solver in
+  let env = Aig.Cnf.create miter.Miter.mgr solver in
   let m_sat = Aig.Cnf.lit env m_i in
   let n_sat = Aig.Cnf.lit env (Miter.target_lit miter target) in
   let d_sat = Array.map (fun (d : Miter.divisor) -> Aig.Cnf.lit env d.Miter.div_lit) divisors in
-  (* Divisor values are read from every onset model and negated into
-     blocking clauses; the miter/target literals drive assumptions. *)
-  Array.iter (Sat.Simplify.freeze simp) d_sat;
-  Sat.Simplify.freeze simp m_sat;
-  Sat.Simplify.freeze simp n_sat;
   Telemetry.Counter.incr tc_encodes;
   Telemetry.Counter.add tc_vars (Sat.Solver.nvars solver);
   Telemetry.Counter.add tc_clauses (Sat.Solver.nclauses solver);
@@ -72,7 +61,7 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Mite
   let div_lit i phase = Sat.Lit.apply_sign d_sat.(i) (not phase) in
   let unsat assumptions =
     if budget > 0 then Sat.Solver.set_budget solver budget;
-    match Sat.Simplify.solve ~assumptions simp with
+    match Sat.Solver.solve ~assumptions solver with
     | Sat.Solver.Unsat -> true
     | Sat.Solver.Sat -> false
     | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
@@ -108,7 +97,7 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Mite
       end
       else begin
         (* Divisor-space point of this onset witness. *)
-        let point = Array.init k (fun i -> Sat.Simplify.value simp d_sat.(i)) in
+        let point = Array.init k (fun i -> Sat.Solver.value solver d_sat.(i)) in
         let cand = List.init k (fun i -> div_lit i point.(i)) in
         (* The full cube must avoid the offset; otherwise the divisor set was
            not sufficient. *)
@@ -133,7 +122,7 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Mite
           cubes := Twolevel.Cube.of_literals k lits :: !cubes;
           (* Block the cube on the onset side (it is offset-free, so blocking
              it globally removes no offset point). *)
-          Sat.Simplify.add_clause simp
+          Sat.Solver.add_clause solver
             (List.map (fun (i, phase) -> Sat.Lit.neg (div_lit i phase)) lits)
         end
       end

@@ -3,7 +3,6 @@
 
 type t = {
   solver : Sat.Solver.t;
-  simp : Sat.Simplify.t;
   sel : Sat.Lit.t array;
   d1 : Sat.Lit.t array; (* divisor literal in copy 1 *)
   d2 : Sat.Lit.t array;
@@ -19,7 +18,7 @@ let tc_vars = Telemetry.Counter.make "two_copy.vars_encoded"
 let tc_clauses = Telemetry.Counter.make "two_copy.clauses_encoded"
 
 (* One selector variable per divisor, with clauses a -> (d1 = d2). *)
-let init_selectors simp solver env d1_lits d2_lits divisors =
+let init_selectors solver env d1_lits d2_lits divisors =
   let n = Array.length divisors in
   let sel = Array.make n (Sat.Lit.make 0) in
   let d1 = Array.make n (Sat.Lit.make 0) in
@@ -29,13 +28,8 @@ let init_selectors simp solver env d1_lits d2_lits divisors =
     let l1 = Aig.Cnf.lit env d1_lits.(i) and l2 = Aig.Cnf.lit env d2_lits.(i) in
     let a = Sat.Lit.make (Sat.Solver.new_var solver) in
     (* a -> (d1 = d2) *)
-    Sat.Simplify.add_clause simp [ Sat.Lit.neg a; Sat.Lit.neg l1; l2 ];
-    Sat.Simplify.add_clause simp [ Sat.Lit.neg a; l1; Sat.Lit.neg l2 ];
-    (* Selectors are assumption literals and divisor values are read from
-       models: none of them may be eliminated. *)
-    Sat.Simplify.freeze simp a;
-    Sat.Simplify.freeze simp l1;
-    Sat.Simplify.freeze simp l2;
+    Sat.Solver.add_clause solver [ Sat.Lit.neg a; Sat.Lit.neg l1; l2 ];
+    Sat.Solver.add_clause solver [ Sat.Lit.neg a; l1; Sat.Lit.neg l2 ];
     sel.(i) <- a;
     d1.(i) <- l1;
     d2.(i) <- l2;
@@ -62,22 +56,16 @@ let build ?(certify = false) (miter : Miter.t) ~m_i ~target =
   let m1, d1_lits = import_copy false in
   let m2, d2_lits = import_copy true in
   let solver = Sat.Solver.create () in
-  (* Preprocessing stays opt-out here: support selection consumes the
-     assumption cores of this solver, and simplification changes which
-     core the search finds — still a correct core, but a different support
-     choice cascades into different (and sometimes much worse) patch
-     costs.  The [enabled] toggle still applies for A/B comparisons. *)
-  let simp = Sat.Simplify.create ~enabled:false solver in
-  let cert = if certify then Some (Cert.attach simp) else None in
-  let env = Aig.Cnf.create ~simp mgr2 solver in
+  let cert = if certify then Some (Cert.attach solver) else None in
+  let env = Aig.Cnf.create mgr2 solver in
   let m1_sat = Aig.Cnf.lit env m1 and m2_sat = Aig.Cnf.lit env m2 in
-  Sat.Simplify.add_clause simp [ m1_sat ];
-  Sat.Simplify.add_clause simp [ m2_sat ];
-  let sel, d1, d2, sel_index = init_selectors simp solver env d1_lits d2_lits miter.Miter.divisors in
+  Sat.Solver.add_clause solver [ m1_sat ];
+  Sat.Solver.add_clause solver [ m2_sat ];
+  let sel, d1, d2, sel_index = init_selectors solver env d1_lits d2_lits miter.Miter.divisors in
   Telemetry.Counter.incr tc_encodes;
   Telemetry.Counter.add tc_vars (Sat.Solver.nvars solver);
   Telemetry.Counter.add tc_clauses (Sat.Solver.nclauses solver);
-  { solver; simp; sel; d1; d2; divisors = miter.Miter.divisors; cert; sel_index }
+  { solver; sel; d1; d2; divisors = miter.Miter.divisors; cert; sel_index }
 
 let n_divisors t = Array.length t.sel
 let selector t i = t.sel.(i)
@@ -90,7 +78,7 @@ let index_of_selector t l =
 
 let solve_with ?(budget = 0) t assumptions =
   if budget > 0 then Sat.Solver.set_budget t.solver budget else Sat.Solver.clear_budget t.solver;
-  Sat.Simplify.solve ~assumptions t.simp
+  Sat.Solver.solve ~assumptions t.solver
 
 let unsat_with ?budget t assumptions =
   match solve_with ?budget t assumptions with
@@ -105,7 +93,7 @@ let final_conflict t =
 let model_divisor_mismatch t =
   let acc = ref [] in
   for i = Array.length t.sel - 1 downto 0 do
-    if Sat.Simplify.value t.simp t.d1.(i) <> Sat.Simplify.value t.simp t.d2.(i) then
+    if Sat.Solver.value t.solver t.d1.(i) <> Sat.Solver.value t.solver t.d2.(i) then
       acc := i :: !acc
   done;
   !acc
@@ -122,7 +110,7 @@ let certify_core ?budget t site assumptions =
 let certify_model t site =
   match t.cert with
   | None -> None
-  | Some log -> Some (Cert.record site (Cert.certify_sat log ~value:(Sat.Simplify.value t.simp)))
+  | Some log -> Some (Cert.record site (Cert.certify_sat log ~value:(Sat.Solver.value t.solver)))
 
 let solver_calls t = Sat.Solver.n_solve_calls t.solver
 

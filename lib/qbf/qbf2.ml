@@ -24,32 +24,19 @@ let solve ?(max_iterations = 10_000) ?(budget = 0) mgr ~phi ~exists_inputs ~fora
   let n_e = List.length exists_inputs and n_f = List.length forall_inputs in
   let e_arr = Array.of_list exists_inputs and f_arr = Array.of_list forall_inputs in
   (* Synthesis solver: accumulates phi(X, y_j) for collected counterexamples. *)
-  (* Preprocessing stays opt-out on both CEGAR solvers: the candidate
-     models and universal counterexamples they return are not just
-     witnesses — the collected counterexample list IS the 2QBF certificate,
-     which downstream bounds the miter copies of structural patches.
-     Simplification changes which (equally valid) certificate the loop
-     collects and with it the patch gate counts.  The [enabled] toggle
-     still applies for A/B comparisons. *)
   let synth = Sat.Solver.create () in
-  let synth_simp = Sat.Simplify.create ~enabled:false synth in
-  let synth_env = Aig.Cnf.create ~simp:synth_simp mgr synth in
+  let synth_env = Aig.Cnf.create mgr synth in
   (* Pre-encode the existential inputs so candidate extraction always finds
      a variable, even before any constraint mentions them. *)
   let e_sat = Array.map (fun l -> Aig.Cnf.lit synth_env l) e_arr in
-  (* Candidate assignments are read from every synthesis model. *)
-  Array.iter (Sat.Simplify.freeze synth_simp) e_sat;
   (* Verification solver: encodes !phi once; X fixed via assumptions. *)
   let verif = Sat.Solver.create () in
-  let verif_simp = Sat.Simplify.create ~enabled:false verif in
-  let verif_env = Aig.Cnf.create ~simp:verif_simp mgr verif in
+  let verif_env = Aig.Cnf.create mgr verif in
   let phi_sat = Aig.Cnf.lit verif_env phi in
-  Sat.Simplify.add_clause verif_simp [ Sat.Lit.neg phi_sat ];
+  Sat.Solver.add_clause verif [ Sat.Lit.neg phi_sat ];
+  (* Existentials are assumed, universals are read from counterexamples. *)
   let e_sat_verif = Array.map (fun l -> Aig.Cnf.lit verif_env l) e_arr in
   let f_sat_verif = Array.map (fun l -> Aig.Cnf.lit verif_env l) f_arr in
-  (* Existentials are assumed, universals are read from counterexamples. *)
-  Array.iter (Sat.Simplify.freeze verif_simp) e_sat_verif;
-  Array.iter (Sat.Simplify.freeze verif_simp) f_sat_verif;
   if budget > 0 then begin
     Sat.Solver.set_budget synth budget;
     Sat.Solver.set_budget verif budget
@@ -60,26 +47,26 @@ let solve ?(max_iterations = 10_000) ?(budget = 0) mgr ~phi ~exists_inputs ~fora
   while !result = None && !iterations < max_iterations do
     incr iterations;
     (* Candidate existential assignment. *)
-    match Sat.Simplify.solve synth_simp with
+    match Sat.Solver.solve synth with
     | Sat.Solver.Unknown -> result := Some Unknown
     | Sat.Solver.Unsat -> result := Some (Unsat (List.rev !cexs))
     | Sat.Solver.Sat ->
-      let x_star = Array.init n_e (fun i -> Sat.Simplify.value synth_simp e_sat.(i)) in
+      let x_star = Array.init n_e (fun i -> Sat.Solver.value synth e_sat.(i)) in
       (* Does some universal assignment falsify phi under the candidate? *)
       let assumptions =
         Array.to_list (Array.mapi (fun i sl -> Sat.Lit.apply_sign sl (not x_star.(i))) e_sat_verif)
       in
-      (match Sat.Simplify.solve ~assumptions verif_simp with
+      (match Sat.Solver.solve ~assumptions verif with
       | Sat.Solver.Unknown -> result := Some Unknown
       | Sat.Solver.Unsat -> result := Some (Sat x_star)
       | Sat.Solver.Sat ->
-        let y_star = Array.init n_f (fun i -> Sat.Simplify.value verif_simp f_sat_verif.(i)) in
+        let y_star = Array.init n_f (fun i -> Sat.Solver.value verif f_sat_verif.(i)) in
         Telemetry.Counter.incr tc_cex;
         cexs := y_star :: !cexs;
         (* Refine: the candidate must satisfy phi under this counterexample. *)
         let constr = cofactor_on mgr phi (Array.to_list f_arr) y_star in
         let cl = Aig.Cnf.lit synth_env constr in
-        Sat.Simplify.add_clause synth_simp [ cl ])
+        Sat.Solver.add_clause synth [ cl ])
   done;
   let answer = match !result with Some a -> a | None -> Unknown in
   Telemetry.Counter.add tc_iterations !iterations;

@@ -58,6 +58,7 @@ type t = {
   mutable unit_pids : int array; (* var -> pid of its level-0 unit derivation *)
   mutable pending_base : int; (* derivation of the next learned clause *)
   mutable pending_steps : (int * int) list;
+  mutable tap : (Lit.t array -> unit) option; (* observer of every added clause *)
 }
 
 let var_decay = 0.95
@@ -121,6 +122,7 @@ let create ?(proof = false) () =
     unit_pids = Array.make 16 (-1);
     pending_base = -1;
     pending_steps = [];
+    tap = None;
   }
 
 let grow_arrays t n =
@@ -598,7 +600,13 @@ let add_clause_proof t proof part lits =
     end
   end
 
+let set_tap t f = t.tap <- Some f
+
 let add_clause_a t lits =
+  (* The tap sees the caller's literals before the cleanup below drops
+     duplicates, tautologies and level-0 false literals: that is the
+     clause set a certification layer checks verdicts against. *)
+  (match t.tap with Some f -> f (Array.copy lits) | None -> ());
   match t.proof with
   | Some proof -> add_clause_proof t proof Proof.Part_a lits
   | None ->
@@ -830,30 +838,6 @@ let solve ?(assumptions = []) t =
     t.last_result <- !result;
     record !result;
     !result
-  end
-
-(* Failed-literal probing primitive for the preprocessor: assume [l] at a
-   throwaway decision level and unit-propagate.  A conflict proves [neg l]
-   at level 0, which is asserted before returning.  Unavailable in proof
-   mode (the level-0 unit would have no logged derivation). *)
-let probe_lit t l =
-  if t.proof <> None then invalid_arg "Solver.probe_lit: proof logging is on";
-  if not t.ok then false
-  else begin
-    cancel_until t 0;
-    if value_lit t l <> 0 then false
-    else begin
-      new_decision_level t;
-      unchecked_enqueue t l dummy_clause;
-      let confl = propagate t in
-      cancel_until t 0;
-      if confl != dummy_clause then begin
-        unchecked_enqueue t (Lit.neg l) dummy_clause;
-        if propagate t != dummy_clause then t.ok <- false;
-        true
-      end
-      else false
-    end
   end
 
 let set_budget t n = t.budget <- (if n <= 0 then 0 else t.conflicts + n)

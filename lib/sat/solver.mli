@@ -18,9 +18,8 @@
     negations.  Propagation maintains the invariant that a watched
     literal is false only when the other watch is true (or a conflict is
     being reported), so backtracking never needs to revisit watch lists.
-    For CNF preprocessing that must rewrite clauses outside this
-    discipline, see {!Simplify}, which buffers and simplifies clauses
-    before they enter the solver. *)
+    There is no preprocessing: clauses enter the solver as given, apart
+    from the per-clause cleanup {!add_clause} describes. *)
 
 type t
 
@@ -53,21 +52,21 @@ val add_clause : t -> Lit.t list -> unit
 val add_clause_a : t -> Lit.t array -> unit
 (** Array variant of {!add_clause}; the array is not captured. *)
 
+val set_tap : t -> (Lit.t array -> unit) -> unit
+(** Installs an observer called with a private copy of every clause
+    subsequently added through {!add_clause} / {!add_clause_a}, with the
+    caller's literals as given: before duplicates, tautologies and
+    level-0 false literals are dropped, and even once the solver is
+    unsatisfiable.  Learnt clauses never reach it.  This is how the
+    certification layer ([Cert]) records the clause set that verdicts
+    are checked against; it never affects solving. *)
+
 val okay : t -> bool
 (** [false] once the clause set is unsatisfiable without assumptions. *)
 
 val solve : ?assumptions:Lit.t list -> t -> result
 (** Decides satisfiability of the clause set under the assumptions.
     Returns [Unknown] only when a conflict budget is active and exhausted. *)
-
-val probe_lit : t -> Lit.t -> bool
-(** Failed-literal probing primitive for {!Simplify}: assumes the literal
-    at a throwaway decision level and unit-propagates.  Returns [true] if
-    propagation conflicts — the literal has failed, and its negation is
-    asserted at level 0 before returning (possibly making {!okay} false).
-    Returns [false] (with no state change beyond backtracking to level 0)
-    otherwise.  Raises [Invalid_argument] on a proof-logging solver: the
-    asserted unit would have no logged derivation. *)
 
 val set_budget : t -> int -> unit
 (** Limits each subsequent [solve] call to the given number of conflicts;

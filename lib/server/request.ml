@@ -17,6 +17,9 @@ let default_options =
     no_cache = false;
   }
 
+let suite_options ?(method_ = default_options.method_) (spec : Gen.Suite.unit_spec) =
+  { default_options with method_; structural = spec.Gen.Suite.structural }
+
 type source =
   | Unit_name of string
   | Inline of {

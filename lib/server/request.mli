@@ -26,6 +26,12 @@ val default_options : options
 (** [min_assume], verify on, everything else off — the defaults of
     [eco_cli solve]. *)
 
+val suite_options : ?method_:Eco.Engine.method_ -> Gen.Suite.unit_spec -> options
+(** The options of a suite unit's Table 1 row: {!default_options} with
+    [method_] (default [min_assume]) and the unit's [structural] flag.
+    [eco_cli solve --unit]/[batch] and the bench drivers start from
+    here, so a row reproduces from the command line. *)
+
 (** Where the instance comes from. *)
 type source =
   | Unit_name of string  (** a built-in benchmark unit, "unit1".."unit20" *)

@@ -114,23 +114,22 @@ let test_proof_rup_salvages_gc_gap () =
 
 let session () =
   let solver = Sat.Solver.create () in
-  let simp = Sat.Simplify.create solver in
-  let log = Cert.attach simp in
-  (solver, simp, log)
+  let log = Cert.attach solver in
+  (solver, log)
 
 let test_cert_sat_session () =
-  let solver, simp, log = session () in
+  let solver, log = session () in
   ignore (Sat.Solver.new_vars solver 3);
-  List.iter (Sat.Simplify.add_clause simp) [ [ lit 0; lit 1 ]; [ nlit 0; lit 2 ]; [ nlit 2 ] ];
-  (match Sat.Simplify.solve simp with Sat.Solver.Sat -> () | _ -> Alcotest.fail "expected SAT");
-  (match Cert.certify_sat log ~value:(Sat.Simplify.value simp) with
+  List.iter (Sat.Solver.add_clause solver) [ [ lit 0; lit 1 ]; [ nlit 0; lit 2 ]; [ nlit 2 ] ];
+  (match Sat.Solver.solve solver with Sat.Solver.Sat -> () | _ -> Alcotest.fail "expected SAT");
+  (match Cert.certify_sat log ~value:(Sat.Solver.value solver) with
   | Cert.Certified -> ()
   | Cert.Check_failed r -> Alcotest.fail r);
   (* A model mutated on a load-bearing variable must be rejected: x2 is
      forced false, flipping x1's value falsifies (x0 | x1) or (~x0 | x2)
      depending on the model, so flip whichever variable breaks a clause. *)
   let flipped v l =
-    let honest = Sat.Simplify.value simp l in
+    let honest = Sat.Solver.value solver l in
     if Sat.Lit.var l = v then not honest else honest
   in
   let broke_one =
@@ -144,12 +143,12 @@ let test_cert_sat_session () =
   Alcotest.(check bool) "some single-bit mutation is rejected" true broke_one
 
 let test_cert_unsat_session () =
-  let solver, simp, log = session () in
+  let solver, log = session () in
   ignore (Sat.Solver.new_vars solver 2);
   List.iter
-    (Sat.Simplify.add_clause simp)
+    (Sat.Solver.add_clause solver)
     [ [ lit 0; lit 1 ]; [ nlit 0; lit 1 ]; [ lit 0; nlit 1 ]; [ nlit 0; nlit 1 ] ];
-  (match Sat.Simplify.solve simp with
+  (match Sat.Solver.solve solver with
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "expected UNSAT");
   match Cert.certify_unsat log ~assumptions:[] with
@@ -157,11 +156,11 @@ let test_cert_unsat_session () =
   | Cert.Check_failed r -> Alcotest.fail r
 
 let test_cert_assumption_core () =
-  let solver, simp, log = session () in
+  let solver, log = session () in
   ignore (Sat.Solver.new_vars solver 3);
   (* x0 -> x1 -> x2: satisfiable, but UNSAT under the core {x0, ~x2}. *)
-  List.iter (Sat.Simplify.add_clause simp) [ [ nlit 0; lit 1 ]; [ nlit 1; lit 2 ] ];
-  (match Sat.Simplify.solve ~assumptions:[ lit 0; nlit 2 ] simp with
+  List.iter (Sat.Solver.add_clause solver) [ [ nlit 0; lit 1 ]; [ nlit 1; lit 2 ] ];
+  (match Sat.Solver.solve ~assumptions:[ lit 0; nlit 2 ] solver with
   | Sat.Solver.Unsat -> ()
   | _ -> Alcotest.fail "expected UNSAT under assumptions");
   let core = Sat.Solver.final_conflict solver in
@@ -174,12 +173,54 @@ let test_cert_assumption_core () =
   | Cert.Certified -> Alcotest.fail "certified a non-core"
   | Cert.Check_failed _ -> ()
 
+(* The tap records each clause as the caller stated it, before the solver
+   merges a duplicate literal, drops a literal false at level 0 or drops
+   a tautology; certification against that record still holds. *)
+let tap_clauses =
+  [
+    [| nlit 3 |];
+    [| lit 0; lit 0; lit 1 |] (* duplicate literal *);
+    [| lit 3; lit 2 |] (* x3 is false at level 0 *);
+    [| lit 1; nlit 1; lit 0 |] (* tautology *);
+  ]
+
+let test_cert_tap_before_cleanup () =
+  let seen = ref [] in
+  let solver = Sat.Solver.create () in
+  Sat.Solver.set_tap solver (fun c -> seen := c :: !seen);
+  ignore (Sat.Solver.new_vars solver 4);
+  List.iter (Sat.Solver.add_clause_a solver) tap_clauses;
+  Alcotest.(check (list (array int))) "caller's literals, in order" tap_clauses (List.rev !seen);
+  let solver, log = session () in
+  ignore (Sat.Solver.new_vars solver 4);
+  List.iter (Sat.Solver.add_clause_a solver) tap_clauses;
+  Alcotest.(check int) "every clause logged" 4 (Cert.n_clauses log);
+  (match Sat.Solver.solve solver with Sat.Solver.Sat -> () | _ -> Alcotest.fail "expected SAT");
+  (match Cert.certify_sat log ~value:(Sat.Solver.value solver) with
+  | Cert.Certified -> ()
+  | Cert.Check_failed r -> Alcotest.fail r);
+  (* x2 is forced by (x3 | x2): flipping it falsifies the logged clause. *)
+  let flipped l =
+    let honest = Sat.Solver.value solver l in
+    if Sat.Lit.var l = 2 then not honest else honest
+  in
+  (match Cert.certify_sat log ~value:flipped with
+  | Cert.Certified -> Alcotest.fail "flipped model bit certified"
+  | Cert.Check_failed _ -> ());
+  Sat.Solver.add_clause solver [ nlit 2 ];
+  (match Sat.Solver.solve solver with
+  | Sat.Solver.Unsat -> ()
+  | _ -> Alcotest.fail "expected UNSAT");
+  match Cert.certify_unsat log ~assumptions:[] with
+  | Cert.Certified -> ()
+  | Cert.Check_failed r -> Alcotest.fail r
+
 let test_cert_forged_unsat () =
   (* Claiming UNSAT on a satisfiable session: the re-derivation finds a
      model and the claim dies. *)
-  let solver, simp, log = session () in
+  let solver, log = session () in
   ignore (Sat.Solver.new_vars solver 2);
-  List.iter (Sat.Simplify.add_clause simp) [ [ lit 0; lit 1 ] ];
+  List.iter (Sat.Solver.add_clause solver) [ [ lit 0; lit 1 ] ];
   match Cert.certify_unsat log ~assumptions:[] with
   | Cert.Certified -> Alcotest.fail "certified a forged UNSAT"
   | Cert.Check_failed _ -> ()
@@ -201,14 +242,13 @@ let fuzz_model_mutation =
       let n = 2 + Random.State.int rand 6 in
       let clauses = random_cnf rand n (2 + Random.State.int rand 10) in
       let solver = Sat.Solver.create () in
-      let simp = Sat.Simplify.create solver in
-      let log = Cert.attach simp in
+      let log = Cert.attach solver in
       ignore (Sat.Solver.new_vars solver n);
-      List.iter (fun c -> Sat.Simplify.add_clause simp (Array.to_list c)) clauses;
-      match Sat.Simplify.solve simp with
+      List.iter (Sat.Solver.add_clause_a solver) clauses;
+      match Sat.Solver.solve solver with
       | Sat.Solver.Unsat | Sat.Solver.Unknown -> true (* nothing to mutate *)
       | Sat.Solver.Sat ->
-        let honest = Cert.certify_sat log ~value:(Sat.Simplify.value simp) in
+        let honest = Cert.certify_sat log ~value:(Sat.Solver.value solver) in
         if honest <> Cert.Certified then false
         else begin
           (* A flip of variable [v] must be rejected exactly when some
@@ -217,7 +257,7 @@ let fuzz_model_mutation =
           let ok = ref true in
           for v = 0 to n - 1 do
             let value l =
-              let h = Sat.Simplify.value simp l in
+              let h = Sat.Solver.value solver l in
               if Sat.Lit.var l = v then not h else h
             in
             let falsified =
@@ -267,11 +307,10 @@ let fuzz_real_unsat_certifies =
       let n = 2 + Random.State.int rand 5 in
       let clauses = random_cnf rand n (4 + Random.State.int rand 16) in
       let solver = Sat.Solver.create () in
-      let simp = Sat.Simplify.create solver in
-      let log = Cert.attach simp in
+      let log = Cert.attach solver in
       ignore (Sat.Solver.new_vars solver n);
-      List.iter (fun c -> Sat.Simplify.add_clause simp (Array.to_list c)) clauses;
-      match Sat.Simplify.solve simp with
+      List.iter (Sat.Solver.add_clause_a solver) clauses;
+      match Sat.Solver.solve solver with
       | Sat.Solver.Sat | Sat.Solver.Unknown -> true (* want UNSAT instances *)
       | Sat.Solver.Unsat -> Cert.certify_unsat log ~assumptions:[] = Cert.Certified)
 
@@ -388,6 +427,7 @@ let () =
           Alcotest.test_case "UNSAT session certifies" `Quick test_cert_unsat_session;
           Alcotest.test_case "assumption core certifies" `Quick test_cert_assumption_core;
           Alcotest.test_case "forged UNSAT refused" `Quick test_cert_forged_unsat;
+          Alcotest.test_case "tap records clauses before cleanup" `Quick test_cert_tap_before_cleanup;
         ] );
       ( "fuzz",
         [ fuzz_model_mutation; fuzz_forged_proof; fuzz_real_unsat_certifies; fuzz_corrupted_step ] );

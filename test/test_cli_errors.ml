@@ -102,6 +102,24 @@ let test_solve_success_exit_zero () =
   Alcotest.(check bool) "solve reports a result" true (String.trim out <> "");
   check_no_backtrace "successful solve" err
 
+(* A suite unit solves with its Table 1 row's options: unit10 is flagged
+   structural, and its committed baseline row reads cost 185, gates 57. *)
+let test_solve_unit_reproduces_row () =
+  let code, out, err = run [ "solve"; "--unit"; "unit10"; "--method"; "baseline" ] in
+  Alcotest.(check int) "unit10 solves: exit 0" 0 code;
+  check_no_backtrace "unit10 solve" err;
+  match lines out with
+  | first :: _ ->
+    let starts prefix =
+      String.length first >= String.length prefix
+      && String.sub first 0 (String.length prefix) = prefix
+    in
+    Alcotest.(check bool)
+      ("structural row: " ^ first)
+      true
+      (starts "solved cost=185 gates=57 depth=11 ")
+  | [] -> Alcotest.fail "no outcome line"
+
 (* {2 Client exit codes against a live server} *)
 
 let with_live_server f =
@@ -255,6 +273,7 @@ let () =
         [
           Alcotest.test_case "unreachable server" `Quick test_client_unreachable_server;
           Alcotest.test_case "success still exits 0" `Quick test_solve_success_exit_zero;
+          Alcotest.test_case "suite unit reproduces its row" `Quick test_solve_unit_reproduces_row;
         ] );
       ( "client exit codes",
         [

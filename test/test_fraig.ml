@@ -70,6 +70,26 @@ let test_zero_queries_returns_valid () =
     (truth_tables m = truth_tables swept);
   Alcotest.(check int) "no SAT-confirmed merge" 0 stats.Aig.Fraig.proved
 
+let test_low_budget_books_undecided () =
+  (* a * b and b * a over shared inputs: simulation pairs their output
+     bits, and one conflict is too few to prove any of them, so those
+     queries come back undecided, are booked apart from refutations, and
+     merge nothing. *)
+  let mul = to_aig (Gen.Circuits.multiplier 4) in
+  let m = Aig.create () in
+  let xs = Aig.add_inputs m 4 and ys = Aig.add_inputs m 4 in
+  let side first second =
+    let map = Aig.fresh_map mul in
+    Array.iteri
+      (fun i l -> map.(Aig.node_of l) <- (if i < 4 then first.(i) else second.(i - 4)))
+      (Aig.inputs mul);
+    Aig.import m mul ~map (Array.to_list (Aig.outputs mul))
+  in
+  List.iter (fun l -> ignore (Aig.add_output m l)) (side xs ys @ side ys xs);
+  let swept, stats = Aig.Fraig.sweep ~budget:1 m in
+  Alcotest.(check bool) "some query undecided" true (stats.Aig.Fraig.undecided > 0);
+  Alcotest.(check bool) "function preserved" true (truth_tables m = truth_tables swept)
+
 let () =
   Alcotest.run "fraig"
     [
@@ -79,6 +99,7 @@ let () =
           Alcotest.test_case "merges duplicated logic" `Quick test_merges_duplicated_logic;
           Alcotest.test_case "patch sweep" `Quick test_patch_sweep;
           Alcotest.test_case "zero query cap safety" `Quick test_zero_queries_returns_valid;
+          Alcotest.test_case "low budget books undecided" `Quick test_low_budget_books_undecided;
           sweep_preserves_random_functions;
         ] );
     ]

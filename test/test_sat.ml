@@ -220,20 +220,6 @@ let dimacs_roundtrip =
       let cnf' = Sat.Dimacs.parse_string (Sat.Dimacs.to_string cnf) in
       cnf'.Sat.Dimacs.clauses = clauses && cnf'.Sat.Dimacs.num_vars >= nv)
 
-let test_skipped_passes_counter () =
-  (* A solve with nothing new pending must not silently re-run (or silently
-     skip) the preprocessing pipeline: the skip is counted. *)
-  let s = Sat.Solver.create () in
-  let simp = Sat.Simplify.create ~enabled:true s in
-  ignore (Sat.Solver.new_vars s 3);
-  List.iter (Sat.Simplify.add_clause simp) [ [ lit 0; lit 1 ]; [ nlit 1; lit 2 ] ];
-  ignore (Sat.Simplify.solve simp);
-  Alcotest.(check int) "first solve runs the pipeline" 0
-    (Sat.Simplify.stats simp).Sat.Simplify.skipped_passes;
-  ignore (Sat.Simplify.solve simp);
-  Alcotest.(check int) "second solve skips and counts it" 1
-    (Sat.Simplify.stats simp).Sat.Simplify.skipped_passes
-
 let test_dimacs_parse () =
   let cnf = Sat.Dimacs.parse_string "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
   Alcotest.(check int) "vars" 3 cnf.Sat.Dimacs.num_vars;
@@ -259,7 +245,6 @@ let () =
           Alcotest.test_case "budget gives unknown" `Quick test_budget_unknown;
           Alcotest.test_case "incremental narrowing" `Quick test_incremental_narrowing;
           Alcotest.test_case "xor chains" `Quick test_xor_bank;
-          Alcotest.test_case "skipped passes counted" `Quick test_skipped_passes_counter;
           Alcotest.test_case "dimacs parse" `Quick test_dimacs_parse;
         ] );
       ("property", [ random_cross_check; random_core_check; dimacs_roundtrip ]);
