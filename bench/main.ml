@@ -119,14 +119,7 @@ let () =
   in
   let table1 units =
     ignore (Table1.run ~units ~json:(json_or "BENCH_table1.json") ~jobs ~verify ~certify ());
-    if certify then begin
-      let snap = Telemetry.snapshot () in
-      let get n = match List.assoc_opt n snap with Some v -> v | None -> 0 in
-      Printf.printf "certification: %d checks (%d proof steps, %d rup), %d failed\n"
-        (get "cert.checked") (get "cert.proof_steps") (get "cert.rup_fallbacks")
-        (get "cert.failed");
-      if get "cert.failed" > 0 then exit 1
-    end
+    if certify && Cert.summary () > 0 then exit 1
   in
   match what with
   | "table1" -> table1 (units_or Gen.Suite.all)

@@ -12,7 +12,8 @@ let sat_miter_test () =
   let b = (Netlist.Convert.to_aig (Gen.Circuits.carry_select_adder 10)).Netlist.Convert.mgr in
   Test.make ~name:"sat: adder-equivalence UNSAT"
     (Staged.stage (fun () ->
-         match Cec.check ~sim_rounds:0 a b with
+         let m, miter = Cec.build_miter a b in
+         match Cec.check_lit m miter with
          | Cec.Equivalent -> ()
          | _ -> failwith "expected equivalent"))
 

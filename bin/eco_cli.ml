@@ -85,13 +85,6 @@ let source_of_args ?(require_targets = true) ~unit_name ~impl_file ~spec_file ~t
 let resolve source =
   match Server.Request.resolve source with Ok inst -> inst | Error msg -> usage "%s" msg
 
-let print_certification () =
-  let snap = Telemetry.snapshot () in
-  let get n = match List.assoc_opt n snap with Some v -> v | None -> 0 in
-  Format.printf "certification: %d checks (%d proof steps, %d rup), %d failed@."
-    (get "cert.checked") (get "cert.proof_steps") (get "cert.rup_fallbacks") (get "cert.failed");
-  get "cert.failed"
-
 (* {2 solve} *)
 
 let solve_cmd =
@@ -192,7 +185,7 @@ let solve_cmd =
       Telemetry.close_sink ()
     end;
     if stats then Format.printf "%a@." Telemetry.pp_summary ();
-    let cert_failed = if certify then print_certification () else 0 in
+    let cert_failed = if certify then Cert.summary () else 0 in
     if cert_failed > 0 then fail "%d certification check(s) failed" cert_failed;
       (match outcome.Eco.Engine.status with Eco.Engine.Solved -> () | _ -> fail "no patch");
       0
@@ -317,7 +310,7 @@ let batch_cmd =
             ("failed: " ^ Printexc.to_string e) "-" "-" "-" "-")
       specs outcomes;
     if stats then Format.printf "%a@." Telemetry.pp_summary ();
-    let cert_failed = if certify then print_certification () else 0 in
+    let cert_failed = if certify then Cert.summary () else 0 in
     if cert_failed > 0 then fail "%d certification check(s) failed" cert_failed;
     if !failures > 0 then fail "%d unit(s) failed" !failures;
     0

@@ -1,8 +1,7 @@
 (* Root module of the [aig] library: the manager itself plus the
-   SAT-encoding and AIGER submodules. *)
+   SAT-encoding, interpolation and sweeping submodules. *)
 
 include Graph
 module Cnf = Cnf
-module Aiger = Aiger
 module Interp = Interp
 module Fraig = Fraig

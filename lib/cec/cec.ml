@@ -1,7 +1,5 @@
 type verdict = Equivalent | Counterexample of bool array | Undecided
 
-type certification = Cert.verdict = Certified | Check_failed of string
-
 let tc_checks = Telemetry.Counter.make "cec.checks"
 let tc_equivalent = Telemetry.Counter.make "cec.equivalent"
 let tc_cex = Telemetry.Counter.make "cec.counterexamples"
@@ -41,8 +39,6 @@ let cex_fires m l cex =
   let values = Aig.simulate m words in
   Int64.logand (Aig.lit_value values l) 1L <> 0L
 
-let replay_counterexample = cex_fires
-
 (* Conflict budget for the certifying re-derivation: proof-mode solving is
    slower (no clause minimization, no level-0 literal removal), so a
    bounded primary search gets a proportionally larger bound rather than
@@ -50,14 +46,12 @@ let replay_counterexample = cex_fires
 let recert_budget budget = if budget > 0 then 10 * budget else 0
 
 (* Cross-request verdict memo (the server's cone cache).  Installed once
-   before serving; [None] (the default) keeps every entry point
-   byte-identical to the memo-less behaviour.  Certifying calls bypass
-   the memo entirely: a cached verdict has no fresh proof object. *)
+   before serving; [None] (the default) keeps every check byte-identical
+   to the memo-less behaviour.  Certifying calls bypass the memo
+   entirely: a cached verdict has no fresh proof object. *)
 type memo = {
-  lookup : Aig.t -> Aig.t -> verdict option;
-  store : Aig.t -> Aig.t -> verdict -> unit;
-  lit_lookup : Aig.t -> Aig.lit -> verdict option;
-  lit_store : Aig.t -> Aig.lit -> verdict -> unit;
+  lookup : Aig.t -> Aig.lit -> verdict option;
+  store : Aig.t -> Aig.lit -> verdict -> unit;
 }
 
 let memo_hook : memo option ref = ref None
@@ -65,11 +59,13 @@ let memo_hook : memo option ref = ref None
 let set_memo m = memo_hook := m
 
 (* One SAT query on a fresh solver, capped at the caller's budget. *)
-let check_lit_cert_fresh ~certify ~budget m l =
+let check_lit_fresh ~certify ~budget m l =
   Telemetry.with_phase "cec" @@ fun () ->
-  if l = Aig.false_ then
+  if l = Aig.false_ then begin
     (* Structurally constant-false: nothing was solved, nothing to check. *)
-    (count_verdict Equivalent, if certify then Some (Cert.record "cec.const" Certified) else None)
+    if certify then Cert.record "cec.const" Cert.Certified;
+    count_verdict Equivalent
+  end
   else begin
     let solver = Sat.Solver.create () in
     let log = if certify then Some (Cert.attach solver) else None in
@@ -77,16 +73,14 @@ let check_lit_cert_fresh ~certify ~budget m l =
     let env = Aig.Cnf.create m solver in
     Sat.Solver.add_clause solver [ Aig.Cnf.lit env l ];
     match Sat.Solver.solve solver with
-    | Sat.Solver.Unknown -> (count_verdict Undecided, None)
+    | Sat.Solver.Unknown -> count_verdict Undecided
     | Sat.Solver.Unsat ->
-      let cert =
-        Option.map
-          (fun log ->
-            Cert.record "cec.unsat"
-              (Cert.certify_unsat ~budget:(recert_budget budget) log ~assumptions:[]))
-          log
-      in
-      (count_verdict Equivalent, cert)
+      Option.iter
+        (fun log ->
+          Cert.record "cec.unsat"
+            (Cert.certify_unsat ~budget:(recert_budget budget) log ~assumptions:[]))
+        log;
+      count_verdict Equivalent
     | Sat.Solver.Sat ->
       let cex =
         Array.map
@@ -96,44 +90,41 @@ let check_lit_cert_fresh ~certify ~budget m l =
             | None -> false (* input outside the encoded cone: don't care *))
           (Aig.inputs m)
       in
-      let cert =
-        Option.map
-          (fun log ->
-            Cert.record "cec.sat"
-              (match Cert.certify_sat log ~value:(Sat.Solver.value solver) with
-              | Check_failed _ as f -> f
-              | Certified ->
-                if cex_fires m l cex then Certified
-                else Check_failed "counterexample does not fire on the AIG"))
-          log
-      in
-      (count_verdict (Counterexample cex), cert)
+      Option.iter
+        (fun log ->
+          Cert.record "cec.sat"
+            (match Cert.certify_sat log ~value:(Sat.Solver.value solver) with
+            | Cert.Check_failed _ as f -> f
+            | Cert.Certified ->
+              if cex_fires m l cex then Cert.Certified
+              else Cert.Check_failed "counterexample does not fire on the AIG"))
+        log;
+      count_verdict (Counterexample cex)
   end
 
-let check_lit_cert ~certify ~budget m l =
+let check_lit ?(budget = 0) ?(certify = false) m l =
   match if certify then None else !memo_hook with
-  | None -> check_lit_cert_fresh ~certify ~budget m l
+  | None -> check_lit_fresh ~certify ~budget m l
   | Some _ when l = Aig.false_ ->
     (* Structurally trivial — cheaper to answer than to fingerprint. *)
-    check_lit_cert_fresh ~certify ~budget m l
+    check_lit_fresh ~certify ~budget m l
   | Some memo -> (
-    match memo.lit_lookup m l with
-    | Some v -> (count_verdict v, None)
+    match memo.lookup m l with
+    | Some v -> count_verdict v
     | None ->
-      let v, cert = check_lit_cert_fresh ~certify ~budget m l in
+      let v = check_lit_fresh ~certify ~budget m l in
       (* Undecided depends on the conflict budget, so it is never
          memoised; decisive verdicts are functions of the cone. *)
-      (match v with Undecided -> () | Equivalent | Counterexample _ -> memo.lit_store m l v);
-      (v, cert))
-
-let check_lit ?(budget = 0) m l = fst (check_lit_cert ~certify:false ~budget m l)
-
-let check_lit_certified ?(budget = 0) m l = check_lit_cert ~certify:true ~budget m l
+      (match v with Undecided -> () | Equivalent | Counterexample _ -> memo.store m l v);
+      v)
 
 let random_words rand n = Array.init n (fun _ -> Random.State.int64 rand Int64.max_int)
 
-let find_sim_cex ?(sim_rounds = 32) ~seed m miter =
-  let rand = Random.State.make [| seed |] in
+let sim_rounds = 32
+let sim_seed = 0x5eed
+
+let find_sim_cex m miter =
+  let rand = Random.State.make [| sim_seed |] in
   let n_in = Aig.num_inputs m in
   let rec go round =
     if round >= sim_rounds then None
@@ -156,42 +147,17 @@ let find_sim_cex ?(sim_rounds = 32) ~seed m miter =
   in
   go 0
 
-let find_counterexample_by_simulation ?(rounds = 32) ?(seed = 0x5eed) m lit =
-  find_sim_cex ~sim_rounds:rounds ~seed m lit
-
-let check_cert_fresh ~certify ~budget ~sim_rounds ~seed a b =
-  let m, miter = build_miter a b in
-  match find_sim_cex ~sim_rounds ~seed m miter with
+let check_miter ?(budget = 0) ?(certify = false) m miter =
+  match find_sim_cex m miter with
   | Some cex ->
     Telemetry.Counter.incr tc_sim_cex;
-    Telemetry.Counter.incr tc_checks;
-    Telemetry.Counter.incr tc_cex;
-    let cert =
-      if certify then
-        Some
-          (Cert.record "cec.sim_cex"
-             (if cex_fires m miter cex then Certified
-              else Check_failed "simulation counterexample does not fire on the miter"))
-      else None
-    in
-    (Counterexample cex, cert)
-  | None -> check_lit_cert ~certify ~budget m miter
+    if certify then
+      Cert.record "cec.sim_cex"
+        (if cex_fires m miter cex then Cert.Certified
+         else Cert.Check_failed "simulation counterexample does not fire on the miter");
+    count_verdict (Counterexample cex)
+  | None -> check_lit ~budget ~certify m miter
 
-let check_cert ~certify ~budget ~sim_rounds ~seed a b =
-  match if certify then None else !memo_hook with
-  | None -> check_cert_fresh ~certify ~budget ~sim_rounds ~seed a b
-  | Some memo -> (
-    match memo.lookup a b with
-    | Some v -> (count_verdict v, None)
-    | None ->
-      let v, cert = check_cert_fresh ~certify ~budget ~sim_rounds ~seed a b in
-      (* Undecided depends on the conflict budget, so it is never
-         memoised; decisive verdicts are functions of the circuits. *)
-      (match v with Undecided -> () | Equivalent | Counterexample _ -> memo.store a b v);
-      (v, cert))
-
-let check ?(budget = 0) ?(sim_rounds = 32) ?(seed = 0x5eed) a b =
-  fst (check_cert ~certify:false ~budget ~sim_rounds ~seed a b)
-
-let check_certified ?(budget = 0) ?(sim_rounds = 32) ?(seed = 0x5eed) a b =
-  check_cert ~certify:true ~budget ~sim_rounds ~seed a b
+let check ?budget ?certify a b =
+  let m, miter = build_miter a b in
+  check_miter ?budget ?certify m miter

@@ -58,8 +58,14 @@ let record site v =
     Telemetry.Counter.incr tc_failed;
     Telemetry.event "cert.failed"
       ~fields:
-        [ ("site", Telemetry.Value.Str site); ("reason", Telemetry.Value.Str reason) ]);
-  v
+        [ ("site", Telemetry.Value.Str site); ("reason", Telemetry.Value.Str reason) ])
+
+let summary () =
+  let snap = Telemetry.snapshot () in
+  let get n = Option.value ~default:0 (List.assoc_opt n snap) in
+  Format.printf "certification: %d checks (%d proof steps, %d rup), %d failed@."
+    (get "cert.checked") (get "cert.proof_steps") (get "cert.rup_fallbacks") (get "cert.failed");
+  get "cert.failed"
 
 let certify_sat log ~value =
   Telemetry.Counter.incr tc_models;

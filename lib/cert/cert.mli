@@ -48,7 +48,12 @@ val certify_unsat : ?budget:int -> log -> assumptions:Sat.Lit.t list -> verdict
     [?budget] bounds the re-derivation's conflicts (0, the default, is
     unlimited); exhausting it yields [Check_failed]. *)
 
-val record : string -> verdict -> verdict
+val record : string -> verdict -> unit
 (** [record site v] books [v] into the cert telemetry counters (and, on
-    failure, a trace event naming [site]) and returns it.  Every
-    user-facing certification site funnels through this. *)
+    failure, a trace event naming [site]).  Every user-facing
+    certification site funnels through this, and callers read the
+    outcome from the counters (see {!summary}). *)
+
+val summary : unit -> int
+(** Prints the one-line certification summary of this process's
+    [cert.*] counters on stdout and returns the [cert.failed] count. *)

@@ -98,14 +98,12 @@ let check_feasibility config (miter : Miter.t) notes =
   end
   else begin
     let quantified = Miter.quantify_all miter in
-    let verdict =
-      (* The QBF branch above has no certification path (no clause-level
-         proof object); the CEC branch certifies when asked. *)
-      if config.certify then
-        fst (Cec.check_lit_certified ~budget:config.feasibility_budget miter.Miter.mgr quantified)
-      else Cec.check_lit ~budget:config.feasibility_budget miter.Miter.mgr quantified
-    in
-    match verdict with
+    (* The QBF branch above has no certification path (no clause-level
+       proof object); the CEC branch certifies when asked. *)
+    match
+      Cec.check_lit ~budget:config.feasibility_budget ~certify:config.certify miter.Miter.mgr
+        quantified
+    with
     | Cec.Equivalent -> Feasible None
     | Cec.Counterexample _ -> Not_feasible
     | Cec.Undecided -> Feasibility_unknown
@@ -333,20 +331,14 @@ let solve ?(config = default_config) ?window inst =
     let miter_says () =
       match miter with
       | Some (m : Miter.t) when m.Miter.patched <> [] -> (
-        let v =
-          if config.certify then
-            fst (Cec.check_lit_certified ~budget:config.verify_budget m.Miter.mgr m.Miter.miter_lit)
-          else Cec.check_lit ~budget:config.verify_budget m.Miter.mgr m.Miter.miter_lit
-        in
-        match v with
+        match
+          Cec.check_lit ~budget:config.verify_budget ~certify:config.certify m.Miter.mgr
+            m.Miter.miter_lit
+        with
         | Cec.Equivalent -> Some true
         | Cec.Counterexample _ -> Some false
         | Cec.Undecided -> None)
       | _ -> None
-    in
-    let verify_check patches =
-      if config.certify then fst (Verify.check_certified ~budget:config.verify_budget inst patches)
-      else Verify.check ~budget:config.verify_budget inst patches
     in
     let verified =
       Telemetry.with_phase "verify" @@ fun () ->
@@ -357,13 +349,13 @@ let solve ?(config = default_config) ?window inst =
           (* The window outputs are rectified; confirm the whole netlist
              (covers outputs outside the window) with the remaining
              budget. *)
-          match verify_check patches with
+          match Verify.check ~budget:config.verify_budget ~certify:config.certify inst patches with
           | Cec.Equivalent -> Some true
           | Cec.Counterexample _ -> Some false
           | Cec.Undecided -> Some true)
         | Some false -> Some false
         | None -> (
-          match verify_check patches with
+          match Verify.check ~budget:config.verify_budget ~certify:config.certify inst patches with
           | Cec.Equivalent -> Some true
           | Cec.Counterexample _ -> Some false
           | Cec.Undecided -> None))

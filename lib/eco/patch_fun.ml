@@ -68,8 +68,7 @@ let compute ?(budget = 0) ?(certify = false) ?(max_cubes = 50_000) (miter : Mite
   in
   let certify_unsat site assumptions =
     Option.iter
-      (fun log ->
-        ignore (Cert.record site (Cert.certify_unsat ~budget:cert_budget log ~assumptions)))
+      (fun log -> Cert.record site (Cert.certify_unsat ~budget:cert_budget log ~assumptions))
       cert_log
   in
   let sat_calls () = Sat.Solver.n_solve_calls solver in

@@ -33,7 +33,7 @@ let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?inc
         let assumptions = List.map (Two_copy.selector tc) candidate in
         if Two_copy.unsat_with ?budget tc assumptions then begin
           (* Feasible and cost-minimal (hitting-set duality). *)
-          ignore (Two_copy.certify_core tc "sat_prune.core" assumptions);
+          Two_copy.certify_core tc "sat_prune.core" assumptions;
           result :=
             Some
               (Some

@@ -17,25 +17,19 @@ let index_of_selector = Two_copy.index_of_selector
 
 let all_selectors tc = List.init (Two_copy.n_divisors tc) (Two_copy.selector tc)
 
-(* Final-verdict certification (no-ops unless the instance was built with
-   [~certify]): a SAT "no support works" answer checks the model, an UNSAT
-   support checks that the selected selectors really force UNSAT. *)
-let certify_indices tc site indices =
-  ignore (Two_copy.certify_core tc site (List.map (Two_copy.selector tc) indices))
-
 let baseline ?budget tc =
   count_selection
   @@
   let calls0 = Two_copy.solver_calls tc in
   match Two_copy.solve_with ?budget tc (all_selectors tc) with
   | Sat.Solver.Sat ->
-    ignore (Two_copy.certify_model tc "support.model");
+    Two_copy.certify_model tc "support.model";
     None
   | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
   | Sat.Solver.Unsat ->
     let core = Two_copy.final_conflict tc in
     let indices = List.sort compare (List.filter_map (index_of_selector tc) core) in
-    certify_indices tc "support.baseline" indices;
+    Two_copy.certify_core tc "support.baseline" (List.map (Two_copy.selector tc) indices);
     Some { indices; cost = cost_of tc indices; sat_calls = Two_copy.solver_calls tc - calls0 }
 
 (* One pass of greedy improvement: try to replace each selected divisor
@@ -79,7 +73,7 @@ let with_min_assume ?budget ?(last_gasp = true) tc =
   let calls0 = Two_copy.solver_calls tc in
   match Two_copy.solve_with ?budget tc (all_selectors tc) with
   | Sat.Solver.Sat ->
-    ignore (Two_copy.certify_model tc "support.model");
+    Two_copy.certify_model tc "support.model";
     None
   | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
   | Sat.Solver.Unsat ->
@@ -98,5 +92,5 @@ let with_min_assume ?budget ?(last_gasp = true) tc =
     in
     let indices = List.sort compare (List.filter_map (index_of_selector tc) minimal) in
     let indices = if last_gasp then last_gasp_swap ?budget tc indices else indices in
-    certify_indices tc "support.min_assume" indices;
+    Two_copy.certify_core tc "support.min_assume" (List.map (Two_copy.selector tc) indices);
     Some { indices; cost = cost_of tc indices; sat_calls = Two_copy.solver_calls tc - calls0 }

@@ -102,16 +102,12 @@ let model_divisor_mismatch t =
    default), so call sites thread them unconditionally without changing
    behaviour. *)
 
-let certify_core ?budget t site assumptions =
-  match t.cert with
-  | None -> None
-  | Some log -> Some (Cert.record site (Cert.certify_unsat ?budget log ~assumptions))
+let certify_core t site assumptions =
+  Option.iter (fun log -> Cert.record site (Cert.certify_unsat log ~assumptions)) t.cert
 
 let certify_model t site =
-  match t.cert with
-  | None -> None
-  | Some log -> Some (Cert.record site (Cert.certify_sat log ~value:(Sat.Solver.value t.solver)))
+  Option.iter
+    (fun log -> Cert.record site (Cert.certify_sat log ~value:(Sat.Solver.value t.solver)))
+    t.cert
 
 let solver_calls t = Sat.Solver.n_solve_calls t.solver
-
-let conflicts t = Sat.Solver.n_conflicts t.solver

@@ -50,19 +50,17 @@ val model_divisor_mismatch : t -> int list
 
 (** {2 Certification} *)
 
-val certify_core : ?budget:int -> t -> string -> Sat.Lit.t list -> Cert.verdict option
+val certify_core : t -> string -> Sat.Lit.t list -> unit
 (** [certify_core t site assumptions] independently certifies that the
     instance is UNSAT under [assumptions] (a claimed sufficient selector
-    set or core) by re-derivation and proof replay, booked under telemetry
-    site [site].  [None] when the instance was built without
-    [~certify]. *)
+    set or core) by re-derivation and proof replay, booked in the
+    [cert.*] counters under site [site] ({!Cert.record}).  A no-op when
+    the instance was built without [~certify]. *)
 
-val certify_model : t -> string -> Cert.verdict option
+val certify_model : t -> string -> unit
 (** After a SAT {!solve_with}: certifies the model against the recorded
-    original clause set.  [None] when built without [~certify]. *)
+    original clause set, booked as {!certify_core} does.  A no-op when
+    built without [~certify]. *)
 
 val solver_calls : t -> int
 (** Completed solver calls on this instance. *)
-
-val conflicts : t -> int
-(** Cumulative conflicts of the underlying solver (diagnostics). *)

@@ -37,7 +37,7 @@ let patched_netlist (inst : Instance.t) patches =
     patches;
   Netlist.create (kept @ List.rev !extra) ~outputs:(Netlist.outputs impl)
 
-let check_cert ~certify ~budget (inst : Instance.t) patches =
+let check ?budget ?certify (inst : Instance.t) patches =
   let impl' = patched_netlist inst patches in
   let mgr = Aig.create () in
   let conv_impl = Netlist.Convert.to_aig ~mgr impl' in
@@ -50,20 +50,4 @@ let check_cert ~certify ~budget (inst : Instance.t) patches =
       (Hashtbl.find conv_spec.Netlist.Convert.lit_of_name po)
   in
   let miter = Aig.or_list mgr (List.map diff_of (Netlist.outputs impl')) in
-  match Cec.find_counterexample_by_simulation mgr miter with
-  | Some cex ->
-    let cert =
-      if certify then
-        Some
-          (Cert.record "verify.sim_cex"
-             (if Cec.replay_counterexample mgr miter cex then Cec.Certified
-              else Cec.Check_failed "simulation counterexample does not fire on the miter"))
-      else None
-    in
-    (Cec.Counterexample cex, cert)
-  | None ->
-    if certify then Cec.check_lit_certified ~budget mgr miter
-    else (Cec.check_lit ~budget mgr miter, None)
-
-let check ?(budget = 0) inst patches = fst (check_cert ~certify:false ~budget inst patches)
-let check_certified ?(budget = 0) inst patches = check_cert ~certify:true ~budget inst patches
+  Cec.check_miter ?budget ?certify mgr miter

@@ -8,13 +8,8 @@ val patched_netlist : Instance.t -> Patch.t list -> Netlist.t
     Raises [Failure] if a patch support signal is missing or would create a
     combinational cycle. *)
 
-val check : ?budget:int -> Instance.t -> Patch.t list -> Cec.verdict
+val check : ?budget:int -> ?certify:bool -> Instance.t -> Patch.t list -> Cec.verdict
 (** Equivalence of the patched implementation against the specification
-    (output pairing by name). *)
-
-val check_certified :
-  ?budget:int -> Instance.t -> Patch.t list -> Cec.verdict * Cec.certification option
-(** {!check} with independent certification of the verdict (see
-    {!Cec.check_certified}): [Equivalent] is re-derived and its proof
-    replayed; counterexamples are replayed on the miter AIG.  [Undecided]
-    carries [None]. *)
+    (output pairing by name): the two netlists share one AIG manager, and
+    their miter goes to {!Cec.check_miter} — random simulation, then SAT.
+    [?budget] and [?certify] are {!Cec.check_miter}'s. *)

@@ -111,5 +111,3 @@ let map ?(jobs = 1) f xs =
     shutdown t;
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false) results)
-
-let default_jobs () = Domain.recommended_domain_count ()

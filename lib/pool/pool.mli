@@ -52,7 +52,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
     sequentially in the calling domain, preserving single-threaded
     behaviour exactly — byte-identical telemetry, same domain ids.  This
     is what makes [-j 1] the identity configuration. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — a sensible [-j] default for
-    "use the machine". *)

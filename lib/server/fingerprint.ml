@@ -105,19 +105,7 @@ let instance (inst : Eco.Instance.t) options =
   in
   { Cache.sig64; canon }
 
-(* {2 CEC pair keys} *)
-
-let aig_pair a b =
-  let side h m =
-    let h = aig_structure_sig h m in
-    aig_sim_sig h m ~words:(words_by_ordinal m) ~extra:[]
-  in
-  let sig64 = side (side 1L a) b in
-  let buf = Buffer.create 1024 in
-  aig_canon buf a;
-  Buffer.add_char buf '\x01';
-  aig_canon buf b;
-  { Cache.sig64; canon = Buffer.contents buf }
+(* {2 CEC literal keys} *)
 
 let aig_lit m l =
   let sig64 =

@@ -20,14 +20,9 @@ val instance : Eco.Instance.t -> Request.options -> Cache.key
     target cones, weights, and every option that can change the
     outcome. *)
 
-val aig_pair : Aig.t -> Aig.t -> Cache.key
-(** Key of one CEC query [check a b]: both managers' structure and
-    simulation signatures, inputs stimulated by ordinal (CEC compares
-    circuits positionally). *)
-
 val aig_lit : Aig.t -> Aig.lit -> Cache.key
-(** Key of one literal-satisfiability query [check_lit m l] — the form
-    the engine's feasibility and verification miters take.  The
-    manager's structure and simulation signatures with the queried
-    literal's cone value folded in; canon is the full manager dump plus
-    the literal. *)
+(** Key of one literal-satisfiability query [Cec.check_lit m l] — the
+    query every CEC check ends in, so the only one the verdict memo
+    keys.  The manager's structure and simulation signatures (inputs
+    stimulated by ordinal) with the queried literal's cone value folded
+    in; canon is the full manager dump plus the literal. *)

@@ -60,10 +60,8 @@ let install_memo cone =
   Cec.set_memo
     (Some
        {
-         Cec.lookup = (fun a b -> find (Fingerprint.aig_pair a b));
-         store = (fun a b v -> put (Fingerprint.aig_pair a b) v);
-         lit_lookup = (fun m l -> find (Fingerprint.aig_lit m l));
-         lit_store = (fun m l v -> put (Fingerprint.aig_lit m l) v);
+         Cec.lookup = (fun m l -> find (Fingerprint.aig_lit m l));
+         store = (fun m l v -> put (Fingerprint.aig_lit m l) v);
        })
 
 let create config =

@@ -180,18 +180,6 @@ let copy_preserves_function =
              Test_util.truth_table m (Aig.output m i) = Test_util.truth_table m' (Aig.output m' i))
            [ 0; 1 ])
 
-let aiger_roundtrip =
-  Test_util.qcheck ~count:100 "AIGER text roundtrip preserves functions"
-    QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let rand = Random.State.make [| seed |] in
-      let m = Aig.create () in
-      let inputs = Aig.add_inputs m 4 in
-      ignore (Aig.add_output m (random_aig_root rand m inputs));
-      let m' = Aig.Aiger.of_string (Aig.Aiger.to_string m) in
-      Aig.num_inputs m' = 4
-      && Test_util.truth_table m (Aig.output m 0) = Test_util.truth_table m' (Aig.output m' 0))
-
 let test_import_unmapped_input () =
   let src = Aig.create () in
   let x = Aig.add_input src in
@@ -235,6 +223,5 @@ let () =
           substitute_semantics;
           import_preserves_function;
           copy_preserves_function;
-          aiger_roundtrip;
         ] );
     ]

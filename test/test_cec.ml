@@ -74,20 +74,63 @@ let commuted_multiplier_miter n =
   in
   (m, Aig.or_list m (List.map2 (Aig.xor_ m) (side xs ys) (side ys xs)))
 
-let sat_solves () =
-  Option.value ~default:0 (List.assoc_opt "sat.solves" (Telemetry.snapshot ()))
+let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
 
 let test_one_attempt () =
   let m, miter = commuted_multiplier_miter 5 in
-  (match Cec.check_lit_certified m miter with
-  | Cec.Equivalent, Some Cec.Certified -> ()
-  | Cec.Equivalent, _ -> Alcotest.fail "equivalence not certified"
-  | (Cec.Counterexample _ | Cec.Undecided), _ -> Alcotest.fail "a * b = b * a");
-  let before = sat_solves () in
+  let checked = counter "cert.checked" and failed = counter "cert.failed" in
+  (match Cec.check_lit ~certify:true m miter with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ | Cec.Undecided -> Alcotest.fail "a * b = b * a");
+  Alcotest.(check int) "one certification" 1 (counter "cert.checked" - checked);
+  Alcotest.(check int) "certified" 0 (counter "cert.failed" - failed);
+  let before = counter "sat.solves" in
   (match Cec.check_lit m miter with
   | Cec.Equivalent -> ()
   | Cec.Counterexample _ | Cec.Undecided -> Alcotest.fail "a * b = b * a");
-  Alcotest.(check int) "one solve on one solver" 1 (sat_solves () - before)
+  Alcotest.(check int) "one solve on one solver" 1 (counter "sat.solves" - before)
+
+(* The memo contract: uncertified [check_lit] consults [lookup] first and
+   stores decisive verdicts; a certifying check never touches the memo;
+   [Undecided] is never stored. *)
+let test_memo_contract () =
+  let table = Hashtbl.create 8 in
+  let lookups = ref 0 and stores = ref 0 in
+  Cec.set_memo
+    (Some
+       {
+         Cec.lookup =
+           (fun _ l ->
+             incr lookups;
+             Hashtbl.find_opt table l);
+         store =
+           (fun _ l v ->
+             incr stores;
+             Hashtbl.replace table l v);
+       });
+  Fun.protect ~finally:(fun () -> Cec.set_memo None) @@ fun () ->
+  let m = Aig.create () in
+  let x = Aig.add_input m and y = Aig.add_input m in
+  let l = Aig.and_ m x y in
+  let solves = counter "sat.solves" in
+  let first = Cec.check_lit m l in
+  Alcotest.(check (pair int int)) "miss, then store" (1, 1) (!lookups, !stores);
+  let second = Cec.check_lit m l in
+  Alcotest.(check (pair int int)) "served by lookup" (2, 1) (!lookups, !stores);
+  Alcotest.(check bool) "same verdict" true (first = second);
+  Alcotest.(check int) "one solve" 1 (counter "sat.solves" - solves);
+  let checked = counter "cert.checked" in
+  (match Cec.check_lit ~certify:true m l with
+  | Cec.Counterexample _ -> ()
+  | Cec.Equivalent | Cec.Undecided -> Alcotest.fail "x & y is satisfiable");
+  Alcotest.(check (pair int int)) "certify bypasses the memo" (2, 1) (!lookups, !stores);
+  Alcotest.(check int) "certified" 1 (counter "cert.checked" - checked);
+  let hard, miter = commuted_multiplier_miter 5 in
+  (match Cec.check_lit ~budget:1 hard miter with
+  | Cec.Undecided -> ()
+  | Cec.Equivalent | Cec.Counterexample _ ->
+    Alcotest.fail "one conflict cannot decide a * b = b * a");
+  Alcotest.(check (pair int int)) "undecided is not stored" (3, 1) (!lookups, !stores)
 
 let test_arity_mismatch () =
   let a = to_aig (Gen.Circuits.parity_tree 3) in
@@ -116,6 +159,7 @@ let () =
           Alcotest.test_case "budget undecided" `Quick test_budget_undecided;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
           Alcotest.test_case "hard query decided in one attempt" `Quick test_one_attempt;
+          Alcotest.test_case "memo contract" `Quick test_memo_contract;
         ] );
       ("property", [ sim_catches_easy_bugs ]);
     ]

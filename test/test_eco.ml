@@ -325,6 +325,29 @@ let test_verify_rejects_wrong_patch () =
   | Cec.Counterexample _ -> ()
   | _ -> Alcotest.fail "wrong patch must be rejected"
 
+let test_verify_certified () =
+  let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ())) in
+  let inst = tiny_instance () in
+  let o = solve_with Eco.Engine.Min_assume inst in
+  let checked = counter "cert.checked" and failed = counter "cert.failed" in
+  (match Eco.Verify.check ~certify:true inst o.Eco.Engine.patches with
+  | Cec.Equivalent -> ()
+  | _ -> Alcotest.fail "the engine's patch must verify");
+  Alcotest.(check bool) "equivalence certified" true (counter "cert.checked" > checked);
+  Alcotest.(check int) "no failure" failed (counter "cert.failed");
+  (* The wrong patch of [test_verify_rejects_wrong_patch]: simulation
+     finds the counterexample, and certification replays it. *)
+  let m = Aig.create () in
+  ignore (Aig.add_output m Aig.false_);
+  let p = Eco.Patch.make ~target:"w" ~support:[] m in
+  let checked = counter "cert.checked" and sim = counter "cec.sim_counterexamples" in
+  (match Eco.Verify.check ~certify:true inst [ p ] with
+  | Cec.Counterexample _ -> ()
+  | _ -> Alcotest.fail "wrong patch must be rejected");
+  Alcotest.(check int) "simulation counterexample" 1 (counter "cec.sim_counterexamples" - sim);
+  Alcotest.(check int) "counterexample certified" 1 (counter "cert.checked" - checked);
+  Alcotest.(check int) "still no failure" failed (counter "cert.failed")
+
 let test_patched_netlist_structure () =
   let inst = tiny_instance () in
   let o = solve_with Eco.Engine.Min_assume inst in
@@ -547,6 +570,7 @@ let () =
           Alcotest.test_case "multi target" `Slow test_multi_target;
           Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
           Alcotest.test_case "verify rejects wrong patch" `Quick test_verify_rejects_wrong_patch;
+          Alcotest.test_case "certified verify" `Quick test_verify_certified;
           Alcotest.test_case "patched netlist structure" `Quick test_patched_netlist_structure;
           Alcotest.test_case "union cost conflict resolution" `Quick
             test_union_cost_conflicting_costs;

@@ -40,14 +40,6 @@ let test_dimacs_failures () =
     (fails_invalid (fun () ->
          Sat.Dimacs.load_into s { Sat.Dimacs.num_vars = 1; clauses = [] }))
 
-let test_aiger_failures () =
-  Alcotest.(check bool) "latches rejected" true
-    (fails_failure (fun () -> ignore (Aig.Aiger.of_string "aag 1 0 1 0 0\n2 3\n")));
-  Alcotest.(check bool) "bad header" true
-    (fails_failure (fun () -> ignore (Aig.Aiger.of_string "agg 0 0 0 0 0\n")));
-  Alcotest.(check bool) "truncated" true
-    (fails_failure (fun () -> ignore (Aig.Aiger.of_string "aag 2 2 0 1 0\n2\n")))
-
 let test_verilog_failures () =
   Alcotest.(check bool) "eof mid-module" true
     (fails_failure (fun () -> ignore (Netlist.Verilog.of_string "module m (a);\ninput a;")));
@@ -177,7 +169,6 @@ let () =
         [
           Alcotest.test_case "solver edges" `Quick test_solver_edges;
           Alcotest.test_case "dimacs failures" `Quick test_dimacs_failures;
-          Alcotest.test_case "aiger failures" `Quick test_aiger_failures;
           Alcotest.test_case "verilog/weights failures" `Quick test_verilog_failures;
           Alcotest.test_case "instance validation" `Quick test_instance_validation;
           Alcotest.test_case "patch validation" `Quick test_patch_validation;
