@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of the computational kernels behind each
-   experiment: SAT solving on miter CNFs, a small CEC query, the exact
-   hitting set, AIG strashing, Tseitin encoding, cube enumeration,
-   max-flow, and minimize_assumptions. *)
+   experiment: SAT solving on miter CNFs, a small CEC query, one support
+   search of the sat_heavy workload, the exact hitting set, AIG
+   strashing, Tseitin encoding, cube enumeration, max-flow, and
+   minimize_assumptions. *)
 
 open Bechamel
 open Toolkit
@@ -28,6 +29,23 @@ let cec_small_query_test () =
          match Cec.check_lit m miter with
          | Cec.Equivalent -> ()
          | _ -> failwith "expected equivalent"))
+
+let support_search_test () =
+  (* One support search of the sat_heavy workload: unit15's first target
+     under min_assume, i.e. the baseline call on a fresh two-copy
+     instance, then the minimize_assumptions oracle calls inside its
+     core.  Each run rebuilds the instance, so no run reuses another's
+     learned clauses. *)
+  let inst = Gen.Suite.instantiate (Gen.Suite.find "unit15") in
+  let miter = Eco.Miter.build inst (Eco.Window.compute inst) in
+  let target, _ = List.hd (Eco.Miter.remaining_targets miter) in
+  let m_i = Eco.Miter.quantify_others miter ~keep:target in
+  Test.make ~name:"support: unit15 min_assume search"
+    (Staged.stage (fun () ->
+         let tc = Eco.Two_copy.build miter ~m_i ~target in
+         match Eco.Support.with_min_assume ~last_gasp:false tc with
+         | Some _ -> ()
+         | None -> failwith "expected a support"))
 
 let hs_minimum_test () =
   (* A clause set the size of unit20's exact search: 2,382 divisors and
@@ -122,6 +140,7 @@ let run () =
       [
         sat_miter_test ();
         cec_small_query_test ();
+        support_search_test ();
         hs_minimum_test ();
         strash_test ();
         cnf_test ();

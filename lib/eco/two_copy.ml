@@ -87,8 +87,7 @@ let unsat_with ?budget t assumptions =
   | Sat.Solver.Unknown -> raise Min_assume.Budget_exhausted
 
 let final_conflict t =
-  let core = Sat.Solver.final_conflict t.solver in
-  List.filter (fun l -> Array.exists (Sat.Lit.equal l) t.sel) core
+  List.filter (fun l -> index_of_selector t l <> None) (Sat.Solver.final_conflict t.solver)
 
 let model_divisor_mismatch t =
   let acc = ref [] in

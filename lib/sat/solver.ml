@@ -1,37 +1,59 @@
 type result = Sat | Unsat | Unknown
 
-type clause = {
-  lits : int array;
-  mutable act : float;
-  learnt : bool;
-  mutable lbd : int;
-  mutable deleted : bool;
-  mutable pid : int; (* proof node id, -1 when not logged *)
-}
+(* Growable int stack.  Local to this module so that its operations
+   inline into the search loops. *)
+type ivec = { mutable data : int array; mutable size : int }
 
-type watcher = { cls : clause; mutable blocker : int }
+let ivec_create () = { data = Array.make 16 0; size = 0 }
 
-let dummy_clause = { lits = [||]; act = 0.0; learnt = false; lbd = 0; deleted = false; pid = -1 }
-let dummy_watcher = { cls = dummy_clause; blocker = -1 }
+let ivec_grow v =
+  let data = Array.make (2 * Array.length v.data) 0 in
+  Array.blit v.data 0 data 0 v.size;
+  v.data <- data
 
-(* Assignment of a variable: 0 = undefined, 1 = true, -1 = false. *)
+let[@inline] ivec_push v x =
+  if v.size = Array.length v.data then ivec_grow v;
+  Array.unsafe_set v.data v.size x;
+  v.size <- v.size + 1
+
+(* Appends a (clause id, blocker) watch pair. *)
+let[@inline] ivec_push2 v a b =
+  if v.size + 2 > Array.length v.data then ivec_grow v;
+  Array.unsafe_set v.data v.size a;
+  Array.unsafe_set v.data (v.size + 1) b;
+  v.size <- v.size + 2
+
+(* Assignment of a variable: 0 = undefined, 1 = true, -1 = false.
+   Clauses live in a table indexed by clause id; a reason or a watch
+   refers to a clause by its id, and -1 means "no clause". *)
 
 type t = {
   mutable ok : bool;
   mutable assigns : int array; (* var -> -1/0/1 *)
   mutable levels : int array; (* var -> decision level *)
-  mutable reasons : clause array; (* var -> reason (dummy_clause if none) *)
-  activity : float array ref; (* var -> VSIDS score; behind a ref so the
-                                 heap's score closure survives growth *)
+  mutable reasons : int array; (* var -> reason clause id, -1 if none *)
+  mutable activity : float array; (* var -> VSIDS score *)
   mutable polarity : bool array; (* var -> saved phase *)
   mutable seen : bool array; (* var -> scratch for analyze *)
-  mutable watches : watcher Vec.t array; (* lit -> watchers *)
-  trail : int Vec.t; (* assigned literals in order *)
-  trail_lim : int Vec.t; (* decision-level boundaries in trail *)
+  mutable unit_pids : int array; (* var -> pid of its level-0 unit derivation *)
+  (* VSIDS order: a binary max-heap of variables over [activity]. *)
+  mutable heap : int array;
+  mutable heap_size : int;
+  mutable heap_index : int array; (* var -> position in [heap], -1 if absent *)
+  mutable watches : ivec array; (* lit -> flat (clause id, blocker) pairs *)
+  mutable trail : int array; (* assigned literals in order *)
+  mutable trail_size : int;
+  trail_lim : ivec; (* decision-level boundaries in trail *)
   mutable qhead : int;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  order : Heap.t;
+  (* Clause table.  A freed slot has an empty literal array. *)
+  mutable cl_lits : int array array;
+  mutable cl_act : float array;
+  mutable cl_lbd : int array; (* LBD of a learned clause, -1 for a problem clause *)
+  mutable cl_pid : int array; (* proof node id; allocated in proof mode only *)
+  mutable cl_top : int; (* slots handed out so far *)
+  free_ids : ivec; (* recycled slots *)
+  mutable n_clauses : int; (* stored problem clauses *)
+  learnts : ivec; (* ids of the learned clauses, oldest first *)
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable nvars : int;
@@ -51,11 +73,12 @@ type t = {
   mutable learned_lits : int;
   mutable lbd_sum : int;
   mutable deleted_learnts : int;
-  analyze_stack : int Vec.t;
-  analyze_clear : int Vec.t;
-  out_learnt : int Vec.t;
+  analyze_stack : ivec;
+  analyze_clear : ivec;
+  out_learnt : ivec;
+  mutable level_stamp : int array; (* level -> last LBD computation that counted it *)
+  mutable stamp : int;
   proof : Proof.t option;
-  mutable unit_pids : int array; (* var -> pid of its level-0 unit derivation *)
   mutable pending_base : int; (* derivation of the next learned clause *)
   mutable pending_steps : (int * int) list;
   mutable tap : (Lit.t array -> unit) option; (* observer of every added clause *)
@@ -80,22 +103,31 @@ let tc_unsat = Telemetry.Counter.make "sat.result.unsat"
 let tc_unknown = Telemetry.Counter.make "sat.result.unknown"
 
 let create ?(proof = false) () =
-  let activity = ref (Array.make 16 0.0) in
   {
     ok = true;
     assigns = Array.make 16 0;
     levels = Array.make 16 (-1);
-    reasons = Array.make 16 dummy_clause;
-    activity;
+    reasons = Array.make 16 (-1);
+    activity = Array.make 16 0.0;
     polarity = Array.make 16 false;
     seen = Array.make 16 false;
-    watches = Array.init 32 (fun _ -> Vec.create ~dummy:dummy_watcher ());
-    trail = Vec.create ~dummy:(-1) ();
-    trail_lim = Vec.create ~dummy:(-1) ();
+    unit_pids = Array.make 16 (-1);
+    heap = Array.make 16 0;
+    heap_size = 0;
+    heap_index = Array.make 16 (-1);
+    watches = Array.init 32 (fun _ -> ivec_create ());
+    trail = Array.make 16 0;
+    trail_size = 0;
+    trail_lim = ivec_create ();
     qhead = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
-    order = Heap.create ~score:(fun v -> !activity.(v));
+    cl_lits = Array.make 16 [||];
+    cl_act = Array.make 16 0.0;
+    cl_lbd = Array.make 16 (-1);
+    cl_pid = (if proof then Array.make 16 (-1) else [||]);
+    cl_top = 0;
+    free_ids = ivec_create ();
+    n_clauses = 0;
+    learnts = ivec_create ();
     var_inc = 1.0;
     cla_inc = 1.0;
     nvars = 0;
@@ -115,44 +147,123 @@ let create ?(proof = false) () =
     learned_lits = 0;
     lbd_sum = 0;
     deleted_learnts = 0;
-    analyze_stack = Vec.create ~dummy:(-1) ();
-    analyze_clear = Vec.create ~dummy:(-1) ();
-    out_learnt = Vec.create ~dummy:(-1) ();
+    analyze_stack = ivec_create ();
+    analyze_clear = ivec_create ();
+    out_learnt = ivec_create ();
+    level_stamp = Array.make 16 0;
+    stamp = 0;
     proof = (if proof then Some (Proof.create ()) else None);
-    unit_pids = Array.make 16 (-1);
     pending_base = -1;
     pending_steps = [];
     tap = None;
   }
 
+let grow_to a n def =
+  let b = Array.make n def in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow_arrays t n =
   let old = Array.length t.assigns in
   if n > old then begin
     let m = max (2 * old) n in
-    let grow_to a def =
-      let b = Array.make m def in
-      Array.blit a 0 b 0 old;
-      b
-    in
-    t.assigns <- grow_to t.assigns 0;
-    t.levels <- grow_to t.levels (-1);
-    t.reasons <- grow_to t.reasons dummy_clause;
-    t.activity := grow_to !(t.activity) 0.0;
-    (let b = Array.make m (-1) in
-     Array.blit t.unit_pids 0 b 0 old;
-     t.unit_pids <- b);
-    t.polarity <- grow_to t.polarity false;
-    t.seen <- grow_to t.seen false;
+    t.assigns <- grow_to t.assigns m 0;
+    t.levels <- grow_to t.levels m (-1);
+    t.reasons <- grow_to t.reasons m (-1);
+    t.activity <- grow_to t.activity m 0.0;
+    t.polarity <- grow_to t.polarity m false;
+    t.seen <- grow_to t.seen m false;
+    t.unit_pids <- grow_to t.unit_pids m (-1);
+    t.heap <- grow_to t.heap m 0;
+    t.heap_index <- grow_to t.heap_index m (-1);
+    t.trail <- grow_to t.trail m 0;
     let oldw = Array.length t.watches in
     if 2 * m > oldw then
-      t.watches <-
-        Array.init (2 * m) (fun i ->
-            if i < oldw then t.watches.(i) else Vec.create ~dummy:dummy_watcher ())
+      t.watches <- Array.init (2 * m) (fun i -> if i < oldw then t.watches.(i) else ivec_create ())
   end
 
 let nvars t = t.nvars
-let nclauses t = Vec.size t.clauses
+let nclauses t = t.n_clauses
 let okay t = t.ok
+
+(* Value of literal [l] (1 true, -1 false, 0 undefined) against [assigns]. *)
+let[@inline] lit_value assigns l =
+  let a = Array.unsafe_get assigns (l lsr 1) in
+  if l land 1 = 1 then -a else a
+
+(* Bounds-checked: literals from callers may name unknown variables. *)
+let value_lit t l =
+  let a = t.assigns.(Lit.var l) in
+  if Lit.is_neg l then -a else a
+
+let[@inline] decision_level t = t.trail_lim.size
+
+(* {2 VSIDS heap}  Ties keep the parent above the child, and of two equal
+   children the left one wins. *)
+
+let percolate_up t i =
+  let heap = t.heap and index = t.heap_index and act = t.activity in
+  let v = Array.unsafe_get heap i in
+  let i = ref i in
+  while
+    !i > 0
+    && Array.unsafe_get act v > Array.unsafe_get act (Array.unsafe_get heap ((!i - 1) lsr 1))
+  do
+    let p = (!i - 1) lsr 1 in
+    let pv = Array.unsafe_get heap p in
+    Array.unsafe_set heap !i pv;
+    Array.unsafe_set index pv !i;
+    i := p
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set index v !i
+
+let percolate_down t i =
+  let heap = t.heap and index = t.heap_index and act = t.activity in
+  let n = t.heap_size in
+  let v = Array.unsafe_get heap i in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let best = ref !i in
+    if l < n && Array.unsafe_get act (Array.unsafe_get heap l) > Array.unsafe_get act v then
+      best := l;
+    if
+      r < n
+      && Array.unsafe_get act (Array.unsafe_get heap r)
+         > Array.unsafe_get act (if !best = l then Array.unsafe_get heap l else v)
+    then best := r;
+    if !best = !i then continue := false
+    else begin
+      let bv = Array.unsafe_get heap !best in
+      Array.unsafe_set heap !i bv;
+      Array.unsafe_set index bv !i;
+      i := !best
+    end
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set index v !i
+
+let heap_insert t v =
+  if Array.unsafe_get t.heap_index v < 0 then begin
+    let i = t.heap_size in
+    Array.unsafe_set t.heap i v;
+    t.heap_size <- i + 1;
+    percolate_up t i
+  end
+
+let heap_remove_max t =
+  let heap = t.heap in
+  let top = Array.unsafe_get heap 0 in
+  t.heap_size <- t.heap_size - 1;
+  Array.unsafe_set t.heap_index top (-1);
+  if t.heap_size > 0 then begin
+    Array.unsafe_set heap 0 (Array.unsafe_get heap t.heap_size);
+    percolate_down t 0
+  end;
+  top
 
 let new_var t =
   let v = t.nvars in
@@ -160,10 +271,10 @@ let new_var t =
   grow_arrays t t.nvars;
   t.assigns.(v) <- 0;
   t.levels.(v) <- -1;
-  t.reasons.(v) <- dummy_clause;
-  !(t.activity).(v) <- 0.0;
+  t.reasons.(v) <- -1;
+  t.activity.(v) <- 0.0;
   t.polarity.(v) <- false;
-  Heap.insert t.order v;
+  heap_insert t v;
   v
 
 let new_vars t n =
@@ -174,135 +285,163 @@ let new_vars t n =
   done;
   first
 
-let value_lit t l =
-  let a = t.assigns.(Lit.var l) in
-  if Lit.is_neg l then -a else a
-
-let decision_level t = Vec.size t.trail_lim
-
 let var_bump t v =
-  let act = !(t.activity) in
-  act.(v) <- act.(v) +. t.var_inc;
-  if act.(v) > 1e100 then begin
+  let act = t.activity in
+  Array.unsafe_set act v (Array.unsafe_get act v +. t.var_inc);
+  if Array.unsafe_get act v > 1e100 then begin
     for i = 0 to t.nvars - 1 do
       act.(i) <- act.(i) *. 1e-100
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  Heap.increase t.order v
+  let i = Array.unsafe_get t.heap_index v in
+  if i >= 0 then percolate_up t i
 
 let var_decay_activity t = t.var_inc <- t.var_inc /. var_decay
 
 let clause_bump t c =
-  c.act <- c.act +. t.cla_inc;
-  if c.act > 1e20 then begin
-    Vec.iter (fun c -> c.act <- c.act *. 1e-20) t.learnts;
+  let act = t.cl_act in
+  act.(c) <- act.(c) +. t.cla_inc;
+  if act.(c) > 1e20 then begin
+    let learnts = t.learnts in
+    for i = 0 to learnts.size - 1 do
+      let d = learnts.data.(i) in
+      act.(d) <- act.(d) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
 let clause_decay_activity t = t.cla_inc <- t.cla_inc /. clause_decay
 
-let watch_clause t c =
-  Vec.push t.watches.(Lit.neg c.lits.(0)) { cls = c; blocker = c.lits.(1) };
-  Vec.push t.watches.(Lit.neg c.lits.(1)) { cls = c; blocker = c.lits.(0) }
-
-let unchecked_enqueue t l reason =
-  let v = Lit.var l in
-  t.assigns.(v) <- (if Lit.is_neg l then -1 else 1);
-  t.levels.(v) <- decision_level t;
-  t.reasons.(v) <- reason;
-  Vec.push t.trail l
-
-(* Two-watched-literal unit propagation.  Returns the conflicting clause or
-   [dummy_clause] when propagation completes without conflict. *)
-let propagate t =
-  let confl = ref dummy_clause in
-  let assigns = t.assigns in
-  (* Unsigned-style value of a literal against the assigns array:
-     1 true, -1 false, 0 undefined. *)
-  let vlit l =
-    let a = Array.unsafe_get assigns (l lsr 1) in
-    if l land 1 = 1 then -a else a
+(* Stores a clause in the table, reusing a slot freed by [reduce_db] when
+   there is one, and returns its id. *)
+let alloc_clause t lits ~learnt ~pid =
+  let c =
+    if t.free_ids.size > 0 then begin
+      t.free_ids.size <- t.free_ids.size - 1;
+      t.free_ids.data.(t.free_ids.size)
+    end
+    else begin
+      let c = t.cl_top in
+      if c = Array.length t.cl_lits then begin
+        let m = 2 * c in
+        t.cl_lits <- grow_to t.cl_lits m [||];
+        t.cl_act <- grow_to t.cl_act m 0.0;
+        t.cl_lbd <- grow_to t.cl_lbd m (-1);
+        if t.proof <> None then t.cl_pid <- grow_to t.cl_pid m (-1)
+      end;
+      t.cl_top <- c + 1;
+      c
+    end
   in
-  while !confl == dummy_clause && t.qhead < Vec.size t.trail do
-    let p = Vec.get t.trail t.qhead in
+  t.cl_lits.(c) <- lits;
+  t.cl_act.(c) <- 0.0;
+  t.cl_lbd.(c) <- (if learnt then 0 else -1);
+  if t.proof <> None then t.cl_pid.(c) <- pid;
+  c
+
+let watch_clause t c =
+  let lits = t.cl_lits.(c) in
+  ivec_push2 t.watches.(lits.(0) lxor 1) c lits.(1);
+  ivec_push2 t.watches.(lits.(1) lxor 1) c lits.(0)
+
+let[@inline] enqueue t l reason =
+  let v = l lsr 1 in
+  Array.unsafe_set t.assigns v (if l land 1 = 1 then -1 else 1);
+  Array.unsafe_set t.levels v t.trail_lim.size;
+  Array.unsafe_set t.reasons v reason;
+  Array.unsafe_set t.trail t.trail_size l;
+  t.trail_size <- t.trail_size + 1
+
+(* Two-watched-literal unit propagation.  Returns the id of the
+   conflicting clause, or -1 when propagation completes without conflict.
+   A watch pair whose blocker is true is kept without reading its clause;
+   moving a watch writes two ints and allocates nothing. *)
+let propagate t =
+  let confl = ref (-1) in
+  let assigns = t.assigns and cl_lits = t.cl_lits and watches = t.watches in
+  while !confl < 0 && t.qhead < t.trail_size do
+    let p = Array.unsafe_get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
-    let ws = t.watches.(p) in
+    let ws = Array.unsafe_get watches p in
+    let data = ws.data in
+    let n = ws.size in
+    let false_lit = p lxor 1 in
     let i = ref 0 and j = ref 0 in
-    let n = Vec.size ws in
     while !i < n do
-      let w = Vec.unsafe_get ws !i in
-      incr i;
-      if w.cls.deleted then () (* drop watcher of a deleted clause *)
-      else if vlit w.blocker = 1 then begin
-        Vec.unsafe_set ws !j w;
-        incr j
+      let c = Array.unsafe_get data !i in
+      let blocker = Array.unsafe_get data (!i + 1) in
+      i := !i + 2;
+      if lit_value assigns blocker = 1 then begin
+        Array.unsafe_set data !j c;
+        Array.unsafe_set data (!j + 1) blocker;
+        j := !j + 2
       end
       else begin
-        let c = w.cls in
-        let lits = c.lits in
-        let false_lit = p lxor 1 in
+        let lits = Array.unsafe_get cl_lits c in
         if Array.unsafe_get lits 0 = false_lit then begin
           Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
           Array.unsafe_set lits 1 false_lit
         end;
         let first = Array.unsafe_get lits 0 in
-        if first <> w.blocker && vlit first = 1 then begin
-          w.blocker <- first;
-          Vec.unsafe_set ws !j w;
-          incr j
+        if first <> blocker && lit_value assigns first = 1 then begin
+          Array.unsafe_set data !j c;
+          Array.unsafe_set data (!j + 1) first;
+          j := !j + 2
         end
         else begin
           let len = Array.length lits in
           let k = ref 2 in
-          while !k < len && vlit (Array.unsafe_get lits !k) = -1 do
+          while !k < len && lit_value assigns (Array.unsafe_get lits !k) = -1 do
             incr k
           done;
           if !k < len then begin
-            Array.unsafe_set lits 1 (Array.unsafe_get lits !k);
+            let w = Array.unsafe_get lits !k in
+            Array.unsafe_set lits 1 w;
             Array.unsafe_set lits !k false_lit;
-            Vec.push t.watches.(Lit.neg (Array.unsafe_get lits 1)) { cls = c; blocker = first }
-          end
-          else if vlit first = -1 then begin
-            confl := c;
-            t.qhead <- Vec.size t.trail;
-            Vec.unsafe_set ws !j w;
-            incr j;
-            while !i < n do
-              Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-              incr i;
-              incr j
-            done
+            ivec_push2 (Array.unsafe_get watches (w lxor 1)) c first
           end
           else begin
-            Vec.unsafe_set ws !j w;
-            incr j;
-            unchecked_enqueue t first c
+            Array.unsafe_set data !j c;
+            Array.unsafe_set data (!j + 1) blocker;
+            j := !j + 2;
+            if lit_value assigns first = -1 then begin
+              confl := c;
+              t.qhead <- t.trail_size;
+              while !i < n do
+                Array.unsafe_set data !j (Array.unsafe_get data !i);
+                incr i;
+                incr j
+              done
+            end
+            else enqueue t first c
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    ws.size <- !j
   done;
   !confl
 
-let new_decision_level t = Vec.push t.trail_lim (Vec.size t.trail)
+let new_decision_level t = ivec_push t.trail_lim t.trail_size
 
 let cancel_until t level =
   if decision_level t > level then begin
-    let bound = Vec.get t.trail_lim level in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
-      let v = Lit.var l in
-      t.assigns.(v) <- 0;
-      t.polarity.(v) <- Lit.is_pos l;
-      t.reasons.(v) <- dummy_clause;
-      Heap.insert t.order v
+    let bound = t.trail_lim.data.(level) in
+    let trail = t.trail and assigns = t.assigns and polarity = t.polarity
+    and reasons = t.reasons in
+    for i = t.trail_size - 1 downto bound do
+      let l = Array.unsafe_get trail i in
+      let v = l lsr 1 in
+      Array.unsafe_set assigns v 0;
+      Array.unsafe_set polarity v (l land 1 = 0);
+      Array.unsafe_set reasons v (-1);
+      heap_insert t v
     done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim level;
-    t.qhead <- Vec.size t.trail
+    t.trail_size <- bound;
+    t.trail_lim.size <- level;
+    t.qhead <- bound
   end
 
 (* Derivation of the unit clause {l} for a variable implied at level 0:
@@ -313,223 +452,235 @@ let rec unit_pid t proof v =
   if t.unit_pids.(v) >= 0 then t.unit_pids.(v)
   else begin
     let reason = t.reasons.(v) in
-    if reason == dummy_clause || reason.pid < 0 then
+    if reason < 0 || t.cl_pid.(reason) < 0 then
       invalid_arg "Solver: missing reason for level-0 literal in proof mode";
     let self_lit = Lit.of_var v (t.assigns.(v) < 0) in
     let steps =
-      Array.to_list reason.lits
+      Array.to_list t.cl_lits.(reason)
       |> List.filter (fun q -> Lit.var q <> v)
       |> List.map (fun q -> (Lit.var q, unit_pid t proof (Lit.var q)))
     in
-    let pid = Proof.add_derived proof [| self_lit |] ~base:reason.pid ~steps in
+    let pid = Proof.add_derived proof [| self_lit |] ~base:t.cl_pid.(reason) ~steps in
     t.unit_pids.(v) <- pid;
     pid
   end
 
 (* Conflict at decision level 0: derive the empty clause by resolving the
-   conflicting clause with the unit derivations of all its literals. *)
-let record_empty t confl =
-  match t.proof with
-  | None -> ()
-  | Some proof ->
-    if confl.pid < 0 then invalid_arg "Solver.record_empty: unlogged clause";
-    let seen_vars = Hashtbl.create 8 in
-    let steps =
-      Array.to_list confl.lits
-      |> List.filter_map (fun q ->
-             let v = Lit.var q in
-             if Hashtbl.mem seen_vars v then None
-             else begin
-               Hashtbl.replace seen_vars v ();
-               Some (v, unit_pid t proof v)
-             end)
-    in
-    let pid = Proof.add_derived proof [||] ~base:confl.pid ~steps in
-    Proof.set_empty proof pid
+   conflicting clause (literals [lits], proof node [pid]) with the unit
+   derivations of all its literals. *)
+let record_empty t proof lits pid =
+  if pid < 0 then invalid_arg "Solver.record_empty: unlogged clause";
+  let seen_vars = Hashtbl.create 8 in
+  let steps =
+    Array.to_list lits
+    |> List.filter_map (fun q ->
+           let v = Lit.var q in
+           if Hashtbl.mem seen_vars v then None
+           else begin
+             Hashtbl.replace seen_vars v ();
+             Some (v, unit_pid t proof v)
+           end)
+  in
+  let pid = Proof.add_derived proof [||] ~base:pid ~steps in
+  Proof.set_empty proof pid
+
+let record_empty_clause t c =
+  match t.proof with Some proof -> record_empty t proof t.cl_lits.(c) t.cl_pid.(c) | None -> ()
 
 (* Check that a literal of the learned clause is implied by the others:
    its reason chain stays within already-seen variables (MiniSAT
    litRedundant).  Marks made during a failed attempt are undone. *)
 let lit_redundant t l levels_mask =
-  Vec.clear t.analyze_stack;
-  Vec.push t.analyze_stack l;
-  let top = Vec.size t.analyze_clear in
+  let stack = t.analyze_stack and clear = t.analyze_clear in
+  let seen = t.seen and levels = t.levels and reasons = t.reasons in
+  stack.size <- 0;
+  ivec_push stack l;
+  let top = clear.size in
   let ok = ref true in
-  while !ok && Vec.size t.analyze_stack > 0 do
-    let p = Vec.pop t.analyze_stack in
-    let c = t.reasons.(Lit.var p) in
-    if c == dummy_clause then ok := false
-    else
-      Array.iter
-        (fun q ->
-          if !ok then begin
-            let v = Lit.var q in
-            if (not t.seen.(v)) && t.levels.(v) > 0 then begin
-              if
-                t.reasons.(v) != dummy_clause
-                && levels_mask land (1 lsl (t.levels.(v) land 31)) <> 0
-              then begin
-                t.seen.(v) <- true;
-                Vec.push t.analyze_stack q;
-                Vec.push t.analyze_clear q
-              end
-              else ok := false
-            end
-          end)
-        c.lits
+  while !ok && stack.size > 0 do
+    stack.size <- stack.size - 1;
+    let c = Array.unsafe_get reasons (Array.unsafe_get stack.data stack.size lsr 1) in
+    if c < 0 then ok := false
+    else begin
+      let lits = Array.unsafe_get t.cl_lits c in
+      let k = ref 0 in
+      while !ok && !k < Array.length lits do
+        let q = Array.unsafe_get lits !k in
+        let v = q lsr 1 in
+        let lev = Array.unsafe_get levels v in
+        if (not (Array.unsafe_get seen v)) && lev > 0 then begin
+          if Array.unsafe_get reasons v >= 0 && levels_mask land (1 lsl (lev land 31)) <> 0
+          then begin
+            Array.unsafe_set seen v true;
+            ivec_push stack q;
+            ivec_push clear q
+          end
+          else ok := false
+        end;
+        incr k
+      done
+    end
   done;
   if not !ok then
-    while Vec.size t.analyze_clear > top do
-      let q = Vec.pop t.analyze_clear in
-      t.seen.(Lit.var q) <- false
+    while clear.size > top do
+      clear.size <- clear.size - 1;
+      Array.unsafe_set seen (Array.unsafe_get clear.data clear.size lsr 1) false
     done;
   !ok
+
+(* Moves the literal of highest level among out[1..] to position 1 and
+   returns that level: the backtrack level of the learned clause. *)
+let backtrack_level t out =
+  if out.size = 1 then 0
+  else begin
+    let levels = t.levels and data = out.data in
+    let max_i = ref 1 in
+    for i = 2 to out.size - 1 do
+      if levels.(data.(i) lsr 1) > levels.(data.(!max_i) lsr 1) then max_i := i
+    done;
+    let l = data.(!max_i) in
+    data.(!max_i) <- data.(1);
+    data.(1) <- l;
+    levels.(l lsr 1)
+  end
 
 (* First-UIP conflict analysis.  Fills [t.out_learnt] with the learned
    clause (asserting literal first) and returns the backtrack level. *)
 let analyze t confl =
   let out = t.out_learnt in
-  Vec.clear out;
-  Vec.push out (-1); (* placeholder for the asserting literal *)
+  let seen = t.seen and levels = t.levels and trail = t.trail in
+  out.size <- 0;
+  ivec_push out (-1); (* placeholder for the asserting literal *)
   let path_c = ref 0 in
   let p = ref (-1) in
-  let level0_done = Hashtbl.create 8 in
-  (match t.proof with
-  | Some _ ->
-    t.pending_base <- confl.pid;
-    t.pending_steps <- []
-  | None -> ());
+  (* Proof mode: level-0 variables met on the way; their unit resolutions
+     are appended after the reason chain (a later antecedent may
+     re-introduce the literal, so resolving early would be invalid). *)
+  let level0_done =
+    match t.proof with
+    | Some _ ->
+      t.pending_base <- t.cl_pid.(confl);
+      t.pending_steps <- [];
+      Some (Hashtbl.create 8)
+    | None -> None
+  in
+  let dl = decision_level t in
   let confl = ref confl in
-  let index = ref (Vec.size t.trail - 1) in
+  let index = ref (t.trail_size - 1) in
   let continue = ref true in
   while !continue do
     let c = !confl in
-    if c.learnt then clause_bump t c;
-    let start = if !p = -1 then 0 else 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
-      let v = Lit.var q in
-      if (not t.seen.(v)) && t.levels.(v) > 0 then begin
+    if t.cl_lbd.(c) >= 0 then clause_bump t c;
+    let lits = t.cl_lits.(c) in
+    for k = (if !p = -1 then 0 else 1) to Array.length lits - 1 do
+      let q = Array.unsafe_get lits k in
+      let v = q lsr 1 in
+      let lev = Array.unsafe_get levels v in
+      if (not (Array.unsafe_get seen v)) && lev > 0 then begin
         var_bump t v;
-        t.seen.(v) <- true;
-        if t.levels.(v) >= decision_level t then incr path_c else Vec.push out q
+        Array.unsafe_set seen v true;
+        if lev >= dl then incr path_c else ivec_push out q
       end
-      else begin
-        (* Proof mode: remember level-0 variables; their unit resolutions
-           are appended after the reason chain (a later antecedent may
-           re-introduce the literal, so resolving early would be invalid). *)
-        match t.proof with
-        | Some proof when t.levels.(v) = 0 && not (Hashtbl.mem level0_done v) ->
-          Hashtbl.replace level0_done v (unit_pid t proof v)
+      else
+        match (t.proof, level0_done) with
+        | Some proof, Some tbl when lev = 0 && not (Hashtbl.mem tbl v) ->
+          Hashtbl.replace tbl v (unit_pid t proof v)
         | _ -> ()
-      end
     done;
-    while not t.seen.(Lit.var (Vec.get t.trail !index)) do
+    while not (Array.unsafe_get seen (Array.unsafe_get trail !index lsr 1)) do
       decr index
     done;
-    p := Vec.get t.trail !index;
+    p := Array.unsafe_get trail !index;
     decr index;
-    t.seen.(Lit.var !p) <- false;
+    Array.unsafe_set seen (!p lsr 1) false;
     decr path_c;
     if !path_c <= 0 then continue := false
     else begin
-      let reason = t.reasons.(Lit.var !p) in
-      (match t.proof with
-      | Some _ -> t.pending_steps <- (Lit.var !p, reason.pid) :: t.pending_steps
-      | None -> ());
+      let reason = t.reasons.(!p lsr 1) in
+      if t.proof <> None then
+        t.pending_steps <- (!p lsr 1, t.cl_pid.(reason)) :: t.pending_steps;
       confl := reason
     end
   done;
-  Vec.set out 0 (Lit.neg !p);
-  (match t.proof with
-  | Some _ ->
-    let level0_steps = Hashtbl.fold (fun v pid acc -> (v, pid) :: acc) level0_done [] in
-    t.pending_steps <- List.rev t.pending_steps @ level0_steps
-  | None -> ());
-  (* Conflict-clause minimization (disabled in proof mode: the extra
-     resolutions of litRedundant are not tracked). *)
-  if t.proof <> None then begin
-    Vec.iter (fun l -> t.seen.(Lit.var l) <- false) out;
-    if Vec.size out = 1 then 0
-    else begin
-      let max_i = ref 1 in
-      for i = 2 to Vec.size out - 1 do
-        if t.levels.(Lit.var (Vec.get out i)) > t.levels.(Lit.var (Vec.get out !max_i)) then
-          max_i := i
-      done;
-      let l = Vec.get out !max_i in
-      Vec.set out !max_i (Vec.get out 1);
-      Vec.set out 1 l;
-      t.levels.(Lit.var l)
-    end
-  end
-  else begin
-  Vec.clear t.analyze_clear;
-  for i = 1 to Vec.size out - 1 do
-    Vec.push t.analyze_clear (Vec.get out i)
-  done;
-  let levels_mask = ref 0 in
-  for i = 1 to Vec.size out - 1 do
-    levels_mask := !levels_mask lor (1 lsl (t.levels.(Lit.var (Vec.get out i)) land 31))
-  done;
-  let kept = Vec.create ~dummy:(-1) () in
-  Vec.push kept (Vec.get out 0);
-  for i = 1 to Vec.size out - 1 do
-    let l = Vec.get out i in
-    if t.reasons.(Lit.var l) == dummy_clause || not (lit_redundant t l !levels_mask) then
-      Vec.push kept l
-  done;
-  Vec.clear out;
-  Vec.iter (fun l -> Vec.push out l) kept;
-  Vec.iter (fun l -> t.seen.(Lit.var l) <- false) out;
-  Vec.iter (fun l -> t.seen.(Lit.var l) <- false) t.analyze_clear;
-  if Vec.size out = 1 then 0
-  else begin
-    let max_i = ref 1 in
-    for i = 2 to Vec.size out - 1 do
-      if t.levels.(Lit.var (Vec.get out i)) > t.levels.(Lit.var (Vec.get out !max_i)) then
-        max_i := i
+  out.data.(0) <- !p lxor 1;
+  match level0_done with
+  | Some tbl ->
+    (* No conflict-clause minimization in proof mode: the extra
+       resolutions of litRedundant are not tracked. *)
+    let level0_steps = Hashtbl.fold (fun v pid acc -> (v, pid) :: acc) tbl [] in
+    t.pending_steps <- List.rev t.pending_steps @ level0_steps;
+    for i = 0 to out.size - 1 do
+      seen.(out.data.(i) lsr 1) <- false
     done;
-    let l = Vec.get out !max_i in
-    Vec.set out !max_i (Vec.get out 1);
-    Vec.set out 1 l;
-    t.levels.(Lit.var l)
-  end
-  end
+    backtrack_level t out
+  | None ->
+    (* Minimize in place: keep out[0] and every literal that is a decision
+       or not implied by the others. *)
+    let clear = t.analyze_clear in
+    clear.size <- 0;
+    let levels_mask = ref 0 in
+    for i = 1 to out.size - 1 do
+      let l = out.data.(i) in
+      ivec_push clear l;
+      levels_mask := !levels_mask lor (1 lsl (levels.(l lsr 1) land 31))
+    done;
+    let j = ref 1 in
+    for i = 1 to out.size - 1 do
+      let l = out.data.(i) in
+      if t.reasons.(l lsr 1) < 0 || not (lit_redundant t l !levels_mask) then begin
+        out.data.(!j) <- l;
+        incr j
+      end
+    done;
+    out.size <- !j;
+    seen.(out.data.(0) lsr 1) <- false;
+    for i = 0 to clear.size - 1 do
+      seen.(clear.data.(i) lsr 1) <- false
+    done;
+    backtrack_level t out
 
+(* Number of distinct nonzero decision levels among [lits]. *)
 let compute_lbd t lits =
-  let seen_levels = Hashtbl.create 8 in
-  Array.iter
-    (fun l ->
-      let lev = t.levels.(Lit.var l) in
-      if lev > 0 then Hashtbl.replace seen_levels lev ())
-    lits;
-  Hashtbl.length seen_levels
+  t.stamp <- t.stamp + 1;
+  let n = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    let lev = t.levels.(lits.(i) lsr 1) in
+    if lev > 0 then begin
+      if lev >= Array.length t.level_stamp then
+        t.level_stamp <- grow_to t.level_stamp (2 * lev) 0;
+      if t.level_stamp.(lev) <> t.stamp then begin
+        t.level_stamp.(lev) <- t.stamp;
+        incr n
+      end
+    end
+  done;
+  !n
 
 (* Subset of the assumptions responsible for the falsification of [p]
    (MiniSAT analyze_final).  Returns assumption literals themselves. *)
 let analyze_final t p =
   let out = ref [ p ] in
   if decision_level t > 0 then begin
-    t.seen.(Lit.var p) <- true;
-    let bound = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+    let seen = t.seen and levels = t.levels in
+    seen.(Lit.var p) <- true;
+    for i = t.trail_size - 1 downto t.trail_lim.data.(0) do
+      let l = t.trail.(i) in
       let v = Lit.var l in
-      if t.seen.(v) then begin
-        if t.reasons.(v) == dummy_clause then begin
-          if t.levels.(v) > 0 then out := l :: !out
+      if seen.(v) then begin
+        let c = t.reasons.(v) in
+        if c < 0 then begin
+          if levels.(v) > 0 then out := l :: !out
         end
         else
           Array.iter
             (fun q ->
               let w = Lit.var q in
-              if t.levels.(w) > 0 then t.seen.(w) <- true)
-            t.reasons.(v).lits;
-        t.seen.(v) <- false
+              if levels.(w) > 0 then seen.(w) <- true)
+            t.cl_lits.(c);
+        seen.(v) <- false
       end
     done;
-    t.seen.(Lit.var p) <- false
+    seen.(Lit.var p) <- false
   end;
   List.sort_uniq Int.compare !out
 
@@ -540,26 +691,31 @@ let attach_learnt t lits =
   let pid =
     match t.proof with
     | None -> -1
-    | Some proof ->
-      Proof.add_derived proof lits ~base:t.pending_base ~steps:t.pending_steps
+    | Some proof -> Proof.add_derived proof lits ~base:t.pending_base ~steps:t.pending_steps
   in
   if Array.length lits = 1 then begin
     (* Unit learned clause: keep an unwatched record so the level-0
        assignment has a reason (needed by proof reconstruction). *)
-    let reason =
-      if pid >= 0 then { lits; act = 0.0; learnt = true; lbd = 0; deleted = false; pid }
-      else dummy_clause
-    in
-    unchecked_enqueue t lits.(0) reason
+    let reason = if pid >= 0 then alloc_clause t lits ~learnt:true ~pid else -1 in
+    enqueue t lits.(0) reason
   end
   else begin
-    let c = { lits; act = 0.0; learnt = true; lbd = compute_lbd t lits; deleted = false; pid } in
-    t.lbd_sum <- t.lbd_sum + c.lbd;
-    Vec.push t.learnts c;
+    let c = alloc_clause t lits ~learnt:true ~pid in
+    let lbd = compute_lbd t lits in
+    t.cl_lbd.(c) <- lbd;
+    t.lbd_sum <- t.lbd_sum + lbd;
+    ivec_push t.learnts c;
     watch_clause t c;
     clause_bump t c;
-    unchecked_enqueue t lits.(0) c
+    enqueue t lits.(0) c
   end
+
+(* Stores and watches a problem clause of length >= 2. *)
+let add_problem_clause t lits ~pid =
+  let c = alloc_clause t lits ~learnt:false ~pid in
+  t.n_clauses <- t.n_clauses + 1;
+  watch_clause t c;
+  c
 
 (* Proof-mode clause addition: literals are never simplified away (the
    proof replays them against level-0 unit derivations instead); the two
@@ -574,29 +730,22 @@ let add_clause_proof t proof part lits =
       let non_false, false_ = List.partition (fun l -> value_lit t l >= 0) lits in
       let arr = Array.of_list (non_false @ false_) in
       let pid = Proof.add_leaf proof part arr in
-      let mk () = { lits = arr; act = 0.0; learnt = false; lbd = 0; deleted = false; pid } in
       match non_false with
       | [] ->
         t.ok <- false;
-        if Array.length arr = 0 then Proof.set_empty proof pid else record_empty t (mk ())
+        if Array.length arr = 0 then Proof.set_empty proof pid else record_empty t proof arr pid
       | [ l ] when value_lit t l = 0 ->
-        let c = mk () in
-        if Array.length arr >= 2 then begin
-          Vec.push t.clauses c;
-          watch_clause t c
-        end;
-        unchecked_enqueue t l c;
+        let c =
+          if Array.length arr >= 2 then add_problem_clause t arr ~pid
+          else alloc_clause t arr ~learnt:false ~pid
+        in
+        enqueue t l c;
         let confl = propagate t in
-        if confl != dummy_clause then begin
+        if confl >= 0 then begin
           t.ok <- false;
-          record_empty t confl
+          record_empty_clause t confl
         end
-      | _ ->
-        let c = mk () in
-        if Array.length arr >= 2 then begin
-          Vec.push t.clauses c;
-          watch_clause t c
-        end
+      | _ -> if Array.length arr >= 2 then ignore (add_problem_clause t arr ~pid)
     end
   end
 
@@ -610,38 +759,31 @@ let add_clause_a t lits =
   match t.proof with
   | Some proof -> add_clause_proof t proof Proof.Part_a lits
   | None ->
-  if t.ok then begin
-    cancel_until t 0;
-    let lits = Array.copy lits in
-    Array.sort Int.compare lits;
-    let keep = Vec.create ~dummy:(-1) () in
-    let taut = ref false in
-    Array.iter
-      (fun l ->
-        if not !taut then begin
-          let dup = Vec.size keep > 0 && Vec.last keep = l in
-          let complement = Vec.size keep > 0 && Vec.last keep = Lit.neg l in
-          if complement then taut := true
-          else if not dup then
-            match value_lit t l with
-            | 1 -> taut := true
-            | -1 -> ()
-            | _ -> Vec.push keep l
-        end)
-      lits;
-    if not !taut then begin
-      match Vec.size keep with
-      | 0 -> t.ok <- false
-      | 1 ->
-        unchecked_enqueue t (Vec.get keep 0) dummy_clause;
-        if propagate t != dummy_clause then t.ok <- false
-      | _ ->
-        let arr = Vec.to_array keep in
-        let c = { lits = arr; act = 0.0; learnt = false; lbd = 0; deleted = false; pid = -1 } in
-        Vec.push t.clauses c;
-        watch_clause t c
+    if t.ok then begin
+      cancel_until t 0;
+      let lits = Array.copy lits in
+      Array.sort Int.compare lits;
+      let keep = Vec.create ~dummy:(-1) () in
+      let taut = ref false in
+      Array.iter
+        (fun l ->
+          if not !taut then begin
+            let dup = Vec.size keep > 0 && Vec.last keep = l in
+            let complement = Vec.size keep > 0 && Vec.last keep = Lit.neg l in
+            if complement then taut := true
+            else if not dup then
+              match value_lit t l with 1 -> taut := true | -1 -> () | _ -> Vec.push keep l
+          end)
+        lits;
+      if not !taut then begin
+        match Vec.size keep with
+        | 0 -> t.ok <- false
+        | 1 ->
+          enqueue t (Vec.get keep 0) (-1);
+          if propagate t >= 0 then t.ok <- false
+        | _ -> ignore (add_problem_clause t (Vec.to_array keep) ~pid:(-1))
+      end
     end
-  end
 
 let add_clause t lits = add_clause_a t (Array.of_list lits)
 
@@ -653,38 +795,65 @@ let add_clause_part t part lits =
 let proof t = t.proof
 
 let locked t c =
-  Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  t.reasons.(v) == c && t.assigns.(v) <> 0
+  let v = Lit.var t.cl_lits.(c).(0) in
+  t.reasons.(v) = c && t.assigns.(v) <> 0
 
+(* Deletes the less active half of the learned clauses that are longer
+   than 2, have LBD above 2 and are not the reason of an assignment.  The
+   watch pairs of the deleted clauses are purged from every list before
+   their table slots are recycled, so propagation never meets a deleted
+   clause. *)
 let reduce_db t =
-  let cands = Vec.create ~dummy:dummy_clause () in
-  Vec.iter
-    (fun c ->
-      if (not c.deleted) && Array.length c.lits > 2 && c.lbd > 2 && not (locked t c) then
-        Vec.push cands c)
-    t.learnts;
-  Vec.sort_in_place (fun a b -> compare a.act b.act) cands;
-  let n_del = Vec.size cands / 2 in
+  let learnts = t.learnts in
+  let cands = ivec_create () in
+  for i = 0 to learnts.size - 1 do
+    let c = learnts.data.(i) in
+    if Array.length t.cl_lits.(c) > 2 && t.cl_lbd.(c) > 2 && not (locked t c) then
+      ivec_push cands c
+  done;
+  let cands = Array.sub cands.data 0 cands.size in
+  let act = t.cl_act in
+  Array.sort (fun a b -> Float.compare act.(a) act.(b)) cands;
+  let n_del = Array.length cands / 2 in
   t.deleted_learnts <- t.deleted_learnts + n_del;
   Telemetry.Counter.add tc_deleted n_del;
   for i = 0 to n_del - 1 do
-    (Vec.get cands i).deleted <- true
+    t.cl_lits.(cands.(i)) <- [||]
   done;
-  let kept = Vec.create ~dummy:dummy_clause () in
-  Vec.iter (fun c -> if not c.deleted then Vec.push kept c) t.learnts;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) kept
+  let dead c = Array.length t.cl_lits.(c) = 0 in
+  let j = ref 0 in
+  for i = 0 to learnts.size - 1 do
+    let c = learnts.data.(i) in
+    if not (dead c) then begin
+      learnts.data.(!j) <- c;
+      incr j
+    end
+  done;
+  learnts.size <- !j;
+  Array.iter
+    (fun ws ->
+      let j = ref 0 in
+      for i = 0 to (ws.size / 2) - 1 do
+        let c = ws.data.(2 * i) in
+        if not (dead c) then begin
+          ws.data.(!j) <- c;
+          ws.data.(!j + 1) <- ws.data.((2 * i) + 1);
+          j := !j + 2
+        end
+      done;
+      ws.size <- !j)
+    t.watches;
+  for i = 0 to n_del - 1 do
+    ivec_push t.free_ids cands.(i)
+  done
 
 let pick_branch_var t =
-  let rec go () =
-    if Heap.is_empty t.order then -1
-    else
-      let v = Heap.remove_max t.order in
-      if t.assigns.(v) = 0 then v else go ()
-  in
-  go ()
+  let v = ref (-1) in
+  while !v < 0 && t.heap_size > 0 do
+    let x = heap_remove_max t in
+    if Array.unsafe_get t.assigns x = 0 then v := x
+  done;
+  !v
 
 let luby y x =
   let size = ref 1 and seq = ref 0 in
@@ -708,17 +877,17 @@ let search t assumptions nof_conflicts =
   try
     while true do
       let confl = propagate t in
-      if confl != dummy_clause then begin
+      if confl >= 0 then begin
         t.conflicts <- t.conflicts + 1;
         incr conflict_c;
         if decision_level t = 0 then begin
           t.ok <- false;
-          record_empty t confl;
+          record_empty_clause t confl;
           raise (Found_result Unsat)
         end;
         let bt = analyze t confl in
         cancel_until t bt;
-        attach_learnt t (Vec.to_array t.out_learnt);
+        attach_learnt t (Array.sub t.out_learnt.data 0 t.out_learnt.size);
         var_decay_activity t;
         clause_decay_activity t;
         (* Grow the learned-clause budget at geometric conflict milestones
@@ -736,7 +905,7 @@ let search t assumptions nof_conflicts =
           cancel_until t 0;
           raise (Found_result Unknown)
         end;
-        if float_of_int (Vec.size t.learnts) >= t.max_learnts then reduce_db t;
+        if float_of_int t.learnts.size >= t.max_learnts then reduce_db t;
         if decision_level t < Array.length assumptions then begin
           let p = assumptions.(decision_level t) in
           match value_lit t p with
@@ -746,7 +915,7 @@ let search t assumptions nof_conflicts =
             raise (Found_result Unsat)
           | _ ->
             new_decision_level t;
-            unchecked_enqueue t p dummy_clause
+            enqueue t p (-1)
         end
         else begin
           let v = pick_branch_var t in
@@ -758,7 +927,7 @@ let search t assumptions nof_conflicts =
           end;
           t.decisions <- t.decisions + 1;
           new_decision_level t;
-          unchecked_enqueue t (Lit.of_var v (not t.polarity.(v))) dummy_clause
+          enqueue t (Lit.of_var v (not t.polarity.(v))) (-1)
         end
       end
     done;
@@ -788,8 +957,8 @@ let record_solve t ~n_assumptions ~conflicts0 ~decisions0 ~propagations0 ~restar
         ("propagations", Telemetry.Value.Int (t.propagations - propagations0));
         ("restarts", Telemetry.Value.Int (t.restarts - restarts0));
         ("vars", Telemetry.Value.Int t.nvars);
-        ("clauses", Telemetry.Value.Int (Vec.size t.clauses));
-        ("learnts", Telemetry.Value.Int (Vec.size t.learnts));
+        ("clauses", Telemetry.Value.Int t.n_clauses);
+        ("learnts", Telemetry.Value.Int t.learnts.size);
       ]
 
 let solve ?(assumptions = []) t =
@@ -813,8 +982,7 @@ let solve ?(assumptions = []) t =
     (* Keep the learned-clause budget monotone across incremental calls:
        repeated UNSAT proofs over the same clauses reuse each other's
        lemmas. *)
-    t.max_learnts <-
-      max t.max_learnts (max 4_000.0 (float_of_int (Vec.size t.clauses) /. 3.0));
+    t.max_learnts <- max t.max_learnts (max 4_000.0 (float_of_int t.n_clauses /. 3.0));
     let assumptions = Array.of_list assumptions in
     let result = ref Unknown in
     let restarts = ref 0 in
@@ -872,5 +1040,5 @@ let pp_stats ppf t =
   Format.fprintf ppf
     "vars=%d clauses=%d learnts=%d conflicts=%d decisions=%d propagations=%d solves=%d \
      restarts=%d learned=%d deleted=%d avg_lbd=%.2f"
-    t.nvars (Vec.size t.clauses) (Vec.size t.learnts) t.conflicts t.decisions t.propagations
-    t.solves t.restarts t.learned t.deleted_learnts (avg_lbd t)
+    t.nvars t.n_clauses t.learnts.size t.conflicts t.decisions t.propagations t.solves
+    t.restarts t.learned t.deleted_learnts (avg_lbd t)

@@ -12,14 +12,21 @@
     [conflict] vector), which is the primitive both the baseline support
     computation and [minimize_assumptions] are built on.
 
-    {b Watcher discipline.}  Every clause of length ≥ 2 keeps its two
-    watched literals in positions 0 and 1 of its literal array, and a
-    clause appears on exactly the watch lists of those two literals'
-    negations.  Propagation maintains the invariant that a watched
+    {b Watcher discipline.}  Clauses live in a table owned by the solver
+    and are named by their index there.  Every clause of length ≥ 2
+    keeps its two watched literals in positions 0 and 1 of its literal
+    array, and appears on exactly the watch lists of those two literals'
+    negations.  A watch list is a flat [int] array of (clause index,
+    blocker) pairs: propagation tests the blocker, a literal of the
+    clause, before it reads the clause, and moving a watch rewrites two
+    ints in place.  Propagation maintains the invariant that a watched
     literal is false only when the other watch is true (or a conflict is
     being reported), so backtracking never needs to revisit watch lists.
-    There is no preprocessing: clauses enter the solver as given, apart
-    from the per-clause cleanup {!add_clause} describes. *)
+    Database reduction drops the pairs of the learned clauses it deletes
+    from every watch list in one sweep before their table slots are
+    reused, so propagation never meets a deleted clause.  There is no
+    preprocessing: clauses enter the solver as given, apart from the
+    per-clause cleanup {!add_clause} describes. *)
 
 type t
 

@@ -33,8 +33,18 @@ Re-baselining (after a change that intentionally shifts counters):
     dune exec bench/main.exe -- table1 --json BENCH_table1.json
 and commit the result; see EXPERIMENTS.md.
 
-Usage: check_counters.py FRESH.json BASELINE.json [--tolerance 0.05]
-Exit status: 0 clean, 1 regression found, 2 usage/IO error.
+With --exact the gate checks that a change left the search untouched:
+both files must hold the same (unit, method) rows, and any difference,
+in either direction, in status, verified, cost, gates, depth or the
+counters in GATED_COUNTERS and STRICT_COUNTERS fails.  Wall-clock
+fields (time) are not compared.  A solver change meant to be a pure
+speed-up must pass:
+    dune exec bench/main.exe -- table1 -j 1 --json fresh.json
+    scripts/check_counters.py fresh.json BENCH_table1.json --exact
+
+Usage: check_counters.py FRESH.json BASELINE.json [--tolerance 0.05 | --exact]
+Exit status: 0 clean, 1 regression (or, with --exact, any difference)
+found, 2 usage/IO error.
 """
 
 import argparse
@@ -98,11 +108,39 @@ def load_rows(path):
     return rows
 
 
+def check_exact(fresh, base, baseline_path):
+    """Every row present on both sides, every compared value identical."""
+    differences = []
+    for key in sorted(set(fresh) ^ set(base)):
+        side = "baseline" if key in base else "fresh run"
+        differences.append(f"{key[0]}/{key[1]}: only in the {side}")
+    for key in sorted(set(fresh) & set(base)):
+        f, b = fresh[key], base[key]
+        label = f"{key[0]}/{key[1]}"
+        for field in ("solved", "verified", "cost", "gates", "depth"):
+            if f.get(field) != b.get(field):
+                differences.append(f"{label}: {field} {b.get(field)} -> {f.get(field)}")
+        fc, bc = f.get("counters", {}), b.get("counters", {})
+        for name in GATED_COUNTERS + STRICT_COUNTERS:
+            if fc.get(name, 0) != bc.get(name, 0):
+                differences.append(f"{label}: {name} {bc.get(name, 0)} -> {fc.get(name, 0)}")
+    print(f"compared {len(set(fresh) | set(base))} rows against {baseline_path} (exact)")
+    if differences:
+        print(f"\n{len(differences)} difference(s):", file=sys.stderr)
+        for line in differences:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print("identical on status, verified, cost, gates, depth and gated counters")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("fresh")
     ap.add_argument("baseline")
     ap.add_argument("--tolerance", type=float, default=0.05)
+    ap.add_argument("--exact", action="store_true",
+                    help="fail on any difference in outcome or gated counters")
     args = ap.parse_args()
 
     try:
@@ -111,6 +149,9 @@ def main():
     except (OSError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+    if args.exact:
+        return check_exact(fresh, base, args.baseline)
 
     keys = sorted(set(fresh) & set(base))
     if not keys:

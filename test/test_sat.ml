@@ -105,25 +105,44 @@ let test_final_conflict_level0 () =
     Alcotest.(check (list int)) "core = [a]" [ lit a ] core
   | _ -> Alcotest.fail "expected UNSAT")
 
-let test_budget_unknown () =
-  (* php(6) needs hundreds of conflicts; a budget of 5 must give Unknown. *)
-  let n = 6 in
-  let s = Sat.Solver.create () in
-  let v = Array.init (n + 1) (fun _ -> Array.init n (fun _ -> Sat.Solver.new_var s)) in
-  for i = 0 to n do
-    Sat.Solver.add_clause s (List.init n (fun j -> lit v.(i).(j)))
+(* Pigeonhole principle, [pigeons] into [holes]: unsatisfiable when
+   there are more pigeons, and hard for resolution. *)
+let pigeonhole s ~pigeons ~holes =
+  let v = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.Solver.new_var s)) in
+  for i = 0 to pigeons - 1 do
+    Sat.Solver.add_clause s (List.init holes (fun j -> lit v.(i).(j)))
   done;
-  for j = 0 to n - 1 do
-    for i1 = 0 to n do
-      for i2 = i1 + 1 to n do
+  for j = 0 to holes - 1 do
+    for i1 = 0 to pigeons - 1 do
+      for i2 = i1 + 1 to pigeons - 1 do
         Sat.Solver.add_clause s [ nlit v.(i1).(j); nlit v.(i2).(j) ]
       done
     done
-  done;
+  done
+
+let test_budget_unknown () =
+  (* php(6) needs hundreds of conflicts; a budget of 5 must give Unknown. *)
+  let s = Sat.Solver.create () in
+  pigeonhole s ~pigeons:7 ~holes:6;
   Sat.Solver.set_budget s 5;
   Alcotest.(check bool) "unknown" true (Sat.Solver.solve s = Sat.Solver.Unknown);
   Sat.Solver.clear_budget s;
   Alcotest.(check bool) "unsat without budget" true (Sat.Solver.solve s = Sat.Solver.Unsat)
+
+(* PHP 9->8 takes about 19,000 conflicts, well past the 4,000 learned
+   clauses that trigger database reduction: learnts are deleted, their
+   watches purged and their table slots reused, and the answer must
+   stay Unsat.  In proof mode every derivation must still check. *)
+let test_reduce_db ~proof () =
+  let s = Sat.Solver.create ~proof () in
+  pigeonhole s ~pigeons:9 ~holes:8;
+  Alcotest.(check bool) "unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat);
+  Alcotest.(check bool) "learnts deleted" true (Sat.Solver.n_deleted s > 0);
+  match Sat.Solver.proof s with
+  | None -> ()
+  | Some p ->
+    Alcotest.(check bool) "empty clause derived" true (Sat.Proof.empty_clause p <> None);
+    Alcotest.(check bool) "proof checks" true (Sat.Proof.check p)
 
 let test_incremental_narrowing () =
   (* Adding clauses between solves narrows the model set monotonically. *)
@@ -172,6 +191,76 @@ let test_xor_bank () =
         (Sat.Solver.value s (lit (v + i)))
     done
   | _ -> Alcotest.fail "expected SAT")
+
+(* Trajectory pin.  A fixed incremental session on an adder miter: first
+   the equivalence of a ripple-carry and a carry-select adder, then
+   queries that assume some inputs and one sum bit, with an occasional
+   clause added in between.  The answers, models, cores and search
+   counters below were recorded on the solver before its kernel was
+   rewritten for speed: a change to the search itself (propagation order,
+   branching, learning, deletion) moves them, a pure speed-up does not. *)
+let pin_trajectory () =
+  let n = 8 in
+  let a = (Netlist.Convert.to_aig (Gen.Circuits.ripple_adder n)).Netlist.Convert.mgr in
+  let b = (Netlist.Convert.to_aig (Gen.Circuits.carry_select_adder n)).Netlist.Convert.mgr in
+  let m, miter = Cec.build_miter a b in
+  let map = Aig.fresh_map a in
+  Array.iteri (fun i l -> map.(Aig.node_of l) <- (Aig.inputs m).(i)) (Aig.inputs a);
+  let sums = Aig.import m a ~map (Array.to_list (Aig.outputs a)) in
+  let s = Sat.Solver.create () in
+  let env = Aig.Cnf.create m s in
+  let diff = Aig.Cnf.lit env miter in
+  let xs = Array.map (Aig.Cnf.lit env) (Aig.inputs m) in
+  let outs = Array.of_list (List.map (Aig.Cnf.lit env) sums) in
+  let state = ref 23 in
+  let coin () =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    (!state lsr 16) land 1 = 1
+  in
+  let query assumptions =
+    let answer =
+      match Sat.Solver.solve ~assumptions s with
+      | Sat.Solver.Sat ->
+        let bit x = if Sat.Solver.value s x then "1" else "0" in
+        "sat " ^ String.concat "" (Array.to_list (Array.map bit xs))
+      | Sat.Solver.Unsat ->
+        "unsat " ^ String.concat " " (List.map string_of_int (Sat.Solver.final_conflict s))
+      | Sat.Solver.Unknown -> "unknown"
+    in
+    Printf.sprintf "%s c=%d d=%d p=%d" answer (Sat.Solver.n_conflicts s)
+      (Sat.Solver.n_decisions s) (Sat.Solver.n_propagations s)
+  in
+  let first = query [ diff ] in
+  first
+  :: List.init 12 (fun q ->
+         if q = 6 then Sat.Solver.add_clause s [ Sat.Lit.neg xs.(0); xs.(1) ];
+         let inputs =
+           List.filter_map
+             (fun x -> if coin () || coin () then Some (Sat.Lit.apply_sign x (coin ())) else None)
+             (Array.to_list xs)
+         in
+         let out = Sat.Lit.apply_sign outs.(q mod 4) (coin ()) in
+         query ((if q mod 5 = 0 then [ diff ] else []) @ inputs @ [ out ]))
+
+let test_trajectory_pin () =
+  Alcotest.(check (list string))
+    "answers and counters"
+    [
+      "unsat 263 c=57 d=88 p=1906";
+      "unsat 263 c=57 d=88 p=1906";
+      "unsat 51 52 56 58 275 c=57 d=88 p=1978";
+      "sat 10110110101111100 c=58 d=91 p=2142";
+      "unsat 38 40 45 51 53 287 c=58 d=91 p=2208";
+      "sat 10101110010110111 c=58 d=95 p=2340";
+      "unsat 263 c=58 d=95 p=2340";
+      "sat 11110001100111110 c=58 d=95 p=2472";
+      "unsat 51 56 c=58 d=95 p=2476";
+      "sat 00100100110101111 c=58 d=98 p=2608";
+      "sat 11011001000101100 c=58 d=101 p=2740";
+      "unsat 263 c=58 d=101 p=2740";
+      "sat 11100111110001001 c=58 d=104 p=2872";
+    ]
+    (pin_trajectory ())
 
 let random_cross_check =
   Test_util.qcheck ~count:300 "random CNF agrees with brute force"
@@ -246,6 +335,9 @@ let () =
           Alcotest.test_case "incremental narrowing" `Quick test_incremental_narrowing;
           Alcotest.test_case "xor chains" `Quick test_xor_bank;
           Alcotest.test_case "dimacs parse" `Quick test_dimacs_parse;
+          Alcotest.test_case "reduce_db keeps unsat" `Quick (test_reduce_db ~proof:false);
+          Alcotest.test_case "reduce_db keeps unsat (proof)" `Quick (test_reduce_db ~proof:true);
+          Alcotest.test_case "trajectory pin" `Quick test_trajectory_pin;
         ] );
       ("property", [ random_cross_check; random_core_check; dimacs_roundtrip ]);
     ]
