@@ -115,7 +115,7 @@ let ablation_d () =
       | Some (miter, target, m_i) -> (
         let run last_gasp =
           let tc = Eco.Two_copy.build miter ~m_i ~target in
-          Eco.Support.with_min_assume ~budget:Eco.Engine.default_config.sat_budget ~last_gasp tc
+          Eco.Support.with_min_assume ~budget:Eco.Engine.sat_budget ~last_gasp tc
         in
         match (run false, run true) with
         | Some { cost = without; _ }, Some { cost = with_; _ } ->

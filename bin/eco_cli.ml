@@ -112,9 +112,6 @@ let solve_cmd =
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the patched implementation netlist here.")
   in
-  let budget =
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"CONFLICTS" ~doc:"Conflict budget per SAT call (0 = library default).")
-  in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print telemetry after solving: per-phase wall-clock timers and the SAT/ECO counter table.")
   in
@@ -127,10 +124,9 @@ let solve_cmd =
   let discover =
     Arg.(value & flag & info [ "discover" ] ~doc:"Discover the target signals first by SAT-based diffing of the implementation against the specification ($(b,--target) becomes optional; any given targets are ignored), then solve for the discovered set.  The discovered targets are advisory: the solve re-establishes feasibility and the patch is verified as usual.")
   in
-  let run impl_file spec_file targets unit_name weights method_ structural out budget stats trace
-      certify discover =
+  let run impl_file spec_file targets unit_name weights method_ structural out stats trace certify
+      discover =
     protect @@ fun () ->
-    if budget < 0 then usage "--budget expects a non-negative conflict count";
     let instance =
       resolve
         (source_of_args ~require_targets:(not discover) ~unit_name ~impl_file ~spec_file ~targets
@@ -165,7 +161,7 @@ let solve_cmd =
       | None -> { Server.Request.default_options with Server.Request.method_ }
     in
     let options =
-      { base with certify; budget; structural = base.Server.Request.structural || structural }
+      { base with certify; structural = base.Server.Request.structural || structural }
     in
     let config = Server.Request.config_of_options options in
     (match trace with Some path -> Telemetry.sink_to_file path | None -> ());
@@ -194,7 +190,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ impl_file $ spec_file $ targets $ unit_name $ weights $ method_ $ structural
-      $ out $ budget $ stats $ trace $ certify $ discover)
+      $ out $ stats $ trace $ certify $ discover)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute ECO patch functions for the given targets.") term
 
@@ -362,12 +358,6 @@ let serve_cmd =
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains executing solve/batch jobs concurrently.")
   in
-  let no_cache =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the cross-request outcome cache (the cone cache stays on unless $(b,--no-cone-cache)).")
-  in
-  let no_cone_cache =
-    Arg.(value & flag & info [ "no-cone-cache" ] ~doc:"Do not install the cross-request CEC verdict memo.")
-  in
   let cache_entries =
     Arg.(value & opt int 256 & info [ "cache-entries" ] ~docv:"N" ~doc:"Outcome-cache entry cap (the cone cache gets 4x).")
   in
@@ -377,14 +367,10 @@ let serve_cmd =
   let guard_period =
     Arg.(value & opt int 16 & info [ "guard-period" ] ~docv:"N" ~doc:"Re-certify every $(docv)-th outcome-cache hit against a fresh certified solve (0 disables the guard).")
   in
-  let certify_all =
-    Arg.(value & flag & info [ "certify-all" ] ~doc:"Force $(b,--certify) semantics on every job, whatever the request asked for.")
-  in
   let max_frame_mb =
     Arg.(value & opt int 8 & info [ "max-frame-mb" ] ~docv:"MIB" ~doc:"Protocol frame cap in MiB; oversized frames are rejected and the connection closed.")
   in
-  let run socket jobs no_cache no_cone_cache cache_entries cache_mb guard_period certify_all
-      max_frame_mb =
+  let run socket jobs cache_entries cache_mb guard_period max_frame_mb =
     protect @@ fun () ->
     if jobs < 1 then usage "-j expects a positive worker count";
     if cache_entries < 1 then usage "--cache-entries expects a positive count";
@@ -395,12 +381,9 @@ let serve_cmd =
     let config =
       {
         Server.jobs;
-        cache = not no_cache;
-        cone_cache = not no_cone_cache;
         cache_entries;
         cache_bytes = cache_mb * 1024 * 1024;
         guard_period;
-        certify_all;
         max_frame = max_frame_mb * 1024 * 1024;
       }
     in
@@ -423,8 +406,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the long-lived ECO service: solve/batch jobs over a length-prefixed JSON protocol (PROTOCOL.md) with a cross-request cone cache.")
     Term.(
-      const run $ socket_arg $ jobs $ no_cache $ no_cone_cache $ cache_entries $ cache_mb
-      $ guard_period $ certify_all $ max_frame_mb)
+      const run $ socket_arg $ jobs $ cache_entries $ cache_mb $ guard_period $ max_frame_mb)
 
 (* {2 client} *)
 
@@ -456,9 +438,6 @@ let client_cmd =
   let structural =
     Arg.(value & flag & info [ "structural" ] ~doc:"Ask for the structural path (as $(b,batch) uses for structural units).")
   in
-  let budget =
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"CONFLICTS" ~doc:"Conflict budget per SAT call (0 = library default).")
-  in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Ask the server to bypass its outcome cache for this job.")
   in
@@ -475,9 +454,8 @@ let client_cmd =
     Arg.(value & flag & info [ "discover" ] ~doc:"Send a $(b,discover) request: the server diffs the implementation against the specification and returns the discovered target set ($(b,--target) becomes optional).")
   in
   let run socket units unit_name impl_file spec_file targets weights method_ certify structural
-      budget no_cache deadline_ms stats_op shutdown_op discover_op =
+      no_cache deadline_ms stats_op shutdown_op discover_op =
     protect @@ fun () ->
-    if budget < 0 then usage "--budget expects a non-negative conflict count";
     let address = parse_address socket in
     let options =
       {
@@ -485,7 +463,6 @@ let client_cmd =
         Server.Request.method_;
         certify;
         structural;
-        budget;
         no_cache;
       }
     in
@@ -561,7 +538,7 @@ let client_cmd =
        ~doc:"Send one request (solve, batch, stats or shutdown) to a running $(b,serve) instance and print the JSON response.")
     Term.(
       const run $ socket_arg $ units $ unit_name $ impl_file $ spec_file $ targets $ weights
-      $ method_ $ certify $ structural $ budget $ no_cache $ deadline_ms $ stats_op
+      $ method_ $ certify $ structural $ no_cache $ deadline_ms $ stats_op
       $ shutdown_op $ discover_op)
 
 (* {2 main} *)
@@ -582,13 +559,20 @@ let () =
           and the SAT/ECO counter table.";
       `P "$(b,--trace) $(i,FILE): stream structured trace events (JSON Lines) to \
           $(i,FILE) while solving; the last event is a counter summary.";
+      `P "Every search limit is a fixed count (conflicts per SAT call, prime cubes, \
+          hitting-set nodes, sweep queries; see ARCHITECTURE.md), so a run's \
+          outcome depends only on the input and these options, never on the clock \
+          or machine load.";
       `S "SERVER AND CLIENT";
       `P "$(b,serve) runs a long-lived daemon speaking the length-prefixed JSON \
           protocol documented in PROTOCOL.md over a Unix-domain socket or TCP \
           ($(b,--socket) $(i,unix:PATH)|$(i,tcp:HOST:PORT)).  Jobs are scheduled on \
           $(b,-j) worker domains; solve outcomes and CEC verdicts are cached across \
           requests, keyed by structurally-hashed AIG cone signatures, with a sampled \
-          correctness guard re-certifying every $(b,--guard-period)-th cache hit.";
+          correctness guard re-certifying every $(b,--guard-period)-th cache hit.  \
+          Both caches are always on: a request opts out of the outcome cache with \
+          $(b,client --no-cache), and a certified request bypasses the CEC verdict \
+          cache.";
       `P "$(b,client) sends a single request to a running server and prints the raw \
           JSON response: $(b,--unit)/$(b,--impl)+$(b,--spec) for one solve, two or \
           more positional units for a batch, $(b,--stats) or $(b,--shutdown) for the \

@@ -25,12 +25,18 @@ let normalize sig_ =
   | w :: _ ->
     if Int64.logand w 1L = 1L then (List.map Int64.lognot sig_, true) else (sig_, false)
 
+(* Merge attempts per node, refuted plus undecided candidates per sweep,
+   and the seed of the simulation signatures. *)
+let max_tries = 4
+let max_disproofs = 500
+let seed = 0xF4A16
+
 (* One merge pass over the nodes.  Returns the rebuilt manager plus the
    counterexample input patterns collected from refuted candidates; many
    counterexamples mean the signatures were too coarse and the caller
    should refine and retry. *)
-let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
-    stats_proved stats_refuted stats_undecided stats_classes =
+let merge_pass ~n0 ~budget ~max_queries ~queries mgr reachable sigs stats_proved stats_refuted
+    stats_undecided stats_classes =
   let outs = Array.to_list (Graph.outputs mgr) in
   let solver = Sat.Solver.create () in
   let env = Cnf.create mgr solver in
@@ -118,8 +124,7 @@ let merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr r
     outs;
   (dst, !cexs)
 
-let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
-    ?(max_disproofs = 500) ?(max_queries = max_int) ?(max_passes = 4) mgr =
+let sweep ?(rounds = 8) ?(budget = 2000) ?(max_queries = max_int) ?(max_passes = 4) mgr =
   let outs = Array.to_list (Graph.outputs mgr) in
   let n0 = Graph.num_nodes mgr in
   let reachable = Graph.tfi_mark mgr outs in
@@ -134,8 +139,8 @@ let sweep ?(rounds = 8) ?(seed = 0xF4A16) ?(budget = 2000) ?(max_tries = 4)
   while !result = None do
     incr passes;
     let dst, cexs =
-      merge_pass ~n0 ~budget ~max_tries ~max_disproofs ~max_queries ~queries mgr reachable sigs
-        proved refuted undecided classes
+      merge_pass ~n0 ~budget ~max_queries ~queries mgr reachable sigs proved refuted undecided
+        classes
     in
     if List.length cexs < 4 || !passes >= max_passes then result := Some dst
     else begin

@@ -18,10 +18,7 @@ type stats = {
 
 val sweep :
   ?rounds:int ->
-  ?seed:int ->
   ?budget:int ->
-  ?max_tries:int ->
-  ?max_disproofs:int ->
   ?max_queries:int ->
   ?max_passes:int ->
   Graph.t ->
@@ -30,6 +27,6 @@ val sweep :
     inputs (in order), with proven-equivalent internal nodes shared.
     [budget] caps conflicts per equivalence query (default 2000); an
     undecided query is treated as inequivalent.  Once the sweep has made
-    [max_queries] SAT queries (default unlimited) or has
-    [max_disproofs] refuted plus undecided candidates (default 500) over
-    all its passes, the remaining candidates stay unmerged. *)
+    [max_queries] SAT queries (default unlimited) or has 500 refuted
+    plus undecided candidates over all its passes, the remaining
+    candidates stay unmerged; each node tries at most 4 candidates. *)

@@ -4,9 +4,9 @@
    no code with [Solver]'s propagation/analyze machinery.  Models are
    checked by direct clause evaluation; resolution proofs are replayed
    node by node with a strict pivot discipline (each resolution step must
-   have its pivot in exactly one phase in each operand — stricter than
-   [Proof.check], whose set algebra would accept a resolution against a
-   clause tautological in the pivot).  A node whose recorded derivation
+   have its pivot in exactly one phase in each operand, so a resolution
+   against a clause tautological in the pivot is refused).  It is the
+   only proof checker: the tests check the solver's proofs with it too.  A node whose recorded derivation
    does not replay can still be salvaged by a RUP check (reverse unit
    propagation over the clauses validated so far, implemented here with a
    plain counting propagator, no watch lists) — the fallback the clause

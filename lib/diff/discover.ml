@@ -1,23 +1,20 @@
-type config = {
-  sim_rounds : int;
-  anchor_budget : int;
-  check_budget : int;
-  max_iterations : int;
-  hs_max_nodes : int;
-  forall_limit : int;
-  deadline : float;
-}
+type config = { max_iterations : int; deadline : float }
 
-let default_config =
-  {
-    sim_rounds = 8;
-    anchor_budget = 20_000;
-    check_budget = 40_000;
-    max_iterations = 400;
-    hs_max_nodes = 200_000;
-    forall_limit = 8;
-    deadline = 120.0;
-  }
+let default_config = { max_iterations = 400; deadline = 120.0 }
+
+(* 64-pattern simulation rounds for anchoring. *)
+let sim_rounds = 8
+
+(* Conflicts per anchoring query and per rectifiability check. *)
+let anchor_budget = 20_000
+let check_budget = 40_000
+
+(* Branch-and-bound nodes per hitting-set proposal, then greedy. *)
+let hs_max_nodes = 200_000
+
+(* Freed-signal count up to which a check expands [forall] explicitly;
+   larger sets go through the CEGAR 2QBF solver. *)
+let forall_limit = 8
 
 type result = {
   targets : string list;
@@ -48,10 +45,10 @@ let tc_signals_anchored = Telemetry.Counter.make "diff.signals_anchored"
 (* Bit-parallel random simulation over the shared PIs: one word array per
    round, valid for every literal in the shared manager.  The fixed seed
    keeps discovery deterministic. *)
-let simulate_rounds config mgr =
+let simulate_rounds mgr =
   let n_in = Aig.num_inputs mgr in
   let rand = Random.State.make [| 0x5EED; n_in |] in
-  List.init config.sim_rounds (fun _ ->
+  List.init sim_rounds (fun _ ->
       Aig.simulate mgr (Array.init n_in (fun _ -> Random.State.int64 rand Int64.max_int)))
 
 let sim_equal sims l1 l2 =
@@ -62,14 +59,14 @@ let sim_equal sims l1 l2 =
    SAT query on their XOR.  [Undecided] survivors count as mismatched —
    the conservative side, since a falsely-mismatched output only
    enlarges the search. *)
-let anchor_outputs config mgr ~sims ~impl_lit ~spec_lit outputs =
+let anchor_outputs mgr ~sims ~impl_lit ~spec_lit outputs =
   List.partition
     (fun o ->
       sim_equal sims (impl_lit o) (spec_lit o)
       &&
       let x = Aig.xor_ mgr (impl_lit o) (spec_lit o) in
       Telemetry.Counter.incr tc_anchor_queries;
-      match Cec.check_lit ~budget:config.anchor_budget mgr x with
+      match Cec.check_lit ~budget:anchor_budget mgr x with
       | Cec.Equivalent -> true
       | Cec.Counterexample _ | Cec.Undecided -> false)
     outputs
@@ -81,7 +78,7 @@ let anchor_outputs config mgr ~sims ~impl_lit ~spec_lit outputs =
    free (both netlists convert into one manager, so equal subcircuits
    strash to the same node); the rest goes through a simulation-
    signature table, with sim matches confirmed by a SAT query. *)
-let signal_anchor config mgr ~sims ~spec_lits =
+let signal_anchor mgr ~sims ~spec_lits =
   let spec_nodes = Hashtbl.create 256 in
   let spec_sigs = Hashtbl.create 256 in
   let signature l = List.map (fun values -> Aig.lit_value values l) sims in
@@ -100,7 +97,7 @@ let signal_anchor config mgr ~sims ~spec_lits =
     | None -> false
     | Some spec_l -> (
       Telemetry.Counter.incr tc_anchor_queries;
-      match Cec.check_lit ~budget:config.anchor_budget mgr (Aig.xor_ mgr impl_l spec_l) with
+      match Cec.check_lit ~budget:anchor_budget mgr (Aig.xor_ mgr impl_l spec_l) with
       | Cec.Equivalent -> true
       | Cec.Counterexample _ | Cec.Undecided -> false)
 
@@ -113,7 +110,7 @@ let signal_anchor config mgr ~sims ~spec_lits =
    through the CEGAR 2QBF solver.  An expired deadline short-circuits to
    [`Unknown] so a slow iteration cannot overrun the overall budget by
    more than one check. *)
-let sufficient config mgr ~pi_lits ~checks ~deadline phi frees =
+let sufficient mgr ~pi_lits ~checks ~deadline phi frees =
   if Deadline.expired deadline then `Unknown
   else
   let support = Aig.support mgr [ phi ] in
@@ -125,9 +122,9 @@ let sufficient config mgr ~pi_lits ~checks ~deadline phi frees =
   let frees = List.filter in_support frees in
   incr checks;
   Telemetry.Counter.incr tc_checks;
-  if List.length frees <= config.forall_limit then begin
+  if List.length frees <= forall_limit then begin
     let quantified = List.fold_left (fun acc v -> Aig.forall mgr ~var:v acc) phi frees in
-    match Cec.check_lit ~budget:config.check_budget mgr quantified with
+    match Cec.check_lit ~budget:check_budget mgr quantified with
     | Cec.Equivalent -> `Yes
     | Cec.Counterexample _ -> `No
     | Cec.Undecided -> `Unknown
@@ -135,7 +132,7 @@ let sufficient config mgr ~pi_lits ~checks ~deadline phi frees =
   else begin
     let answer, _stats =
       Qbf.Qbf2.solve mgr ~phi ~exists_inputs:pi_lits ~forall_inputs:frees
-        ~budget:config.check_budget
+        ~budget:check_budget
     in
     match answer with
     | Qbf.Qbf2.Unsat _ -> `Yes
@@ -165,9 +162,9 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
   let impl_lit o = Hashtbl.find conv_impl.Netlist.Convert.lit_of_name o in
   let spec_lit o = Hashtbl.find conv_spec.Netlist.Convert.lit_of_name o in
   let pi_lits = List.map impl_lit (Netlist.inputs impl) in
-  let sims = simulate_rounds config mgr in
+  let sims = simulate_rounds mgr in
   let anchored, mismatched =
-    anchor_outputs config mgr ~sims ~impl_lit ~spec_lit (Netlist.outputs impl)
+    anchor_outputs mgr ~sims ~impl_lit ~spec_lit (Netlist.outputs impl)
   in
   Telemetry.Counter.add tc_anchored (List.length anchored);
   Telemetry.Counter.add tc_mismatched (List.length mismatched);
@@ -208,7 +205,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
             | _ -> Some (spec_lit name))
           (Netlist.nodes spec)
       in
-      signal_anchor config mgr ~sims ~spec_lits
+      signal_anchor mgr ~sims ~spec_lits
     in
     let internal_signals = List.filter internal (Netlist.topological_order impl) in
     let changed =
@@ -282,7 +279,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
           | None -> all_indices
         end
         else
-          match Hitting_set.minimum ~max_nodes:config.hs_max_nodes clauses with
+          match Hitting_set.minimum ~max_nodes:hs_max_nodes clauses with
           | Some s -> s
           | None -> failwith "Discover.run: refinement produced an empty clause"
           | exception Hitting_set.Node_limit -> (
@@ -303,7 +300,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
       in
       let cut_lit o = Hashtbl.find conv_cut.Netlist.Convert.lit_of_name o in
       let frees = List.map snd conv_cut.Netlist.Convert.target_inputs in
-      let check phi = sufficient config mgr ~pi_lits ~checks ~deadline phi frees in
+      let check phi = sufficient mgr ~pi_lits ~checks ~deadline phi frees in
       (* Per-cone checks first: their failures yield precise refinement
          clauses (the cone's candidates outside S). *)
       let refinements = ref [] in

@@ -43,18 +43,16 @@
     targets. *)
 
 type config = {
-  sim_rounds : int;  (** 64-pattern simulation rounds for anchoring *)
-  anchor_budget : int;  (** conflicts per anchoring SAT query *)
-  check_budget : int;  (** conflicts per rectifiability check *)
   max_iterations : int;  (** hitting-set refinement rounds before fallback *)
-  hs_max_nodes : int;  (** branch-and-bound node cap (then greedy) *)
-  forall_limit : int;
-      (** freed-signal count up to which checks expand [forall] explicitly;
-          larger sets go through the CEGAR 2QBF solver *)
   deadline : float;  (** wall-clock seconds for the search; 0 = unlimited *)
 }
 
 val default_config : config
+(** 400 iterations, 120 s.  The other limits are constants: 8
+    simulation rounds for anchoring, 20,000 conflicts per anchoring query
+    and 40,000 per rectifiability check, 200,000 branch-and-bound nodes
+    per proposal (then greedy), and explicit [forall] expansion up to 8
+    freed signals (larger sets go through the CEGAR 2QBF solver). *)
 
 type result = {
   targets : string list;  (** discovered cut set, topological order *)

@@ -20,8 +20,16 @@ let signatures ~rounds ~seed mgr =
   done;
   sigs
 
-let improve ?(budget = 0) ?(sim_rounds = 4) ?(seed = 0xeca) ?(free = []) ?(max_queries = 600)
-    (miter : Miter.t) (patch : Patch.t) =
+(* Signature rounds and seed; SAT confirmations per patch, conflicts per
+   confirmation (an equivalence either falls out quickly from the shared
+   structure or is not worth chasing) and tries per cone node. *)
+let sim_rounds = 4
+let seed = 0xeca
+let max_queries = 600
+let budget = 20_000
+let max_tries = 4
+
+let improve ?(free = []) (miter : Miter.t) (patch : Patch.t) =
   (* Signals in [free] are already paid for by other patches of the same
      ECO: reusing them costs nothing extra, so they price at 0 in the cut
      and in the acceptance comparison. *)
@@ -74,9 +82,6 @@ let improve ?(budget = 0) ?(sim_rounds = 4) ?(seed = 0xeca) ?(free = []) ?(max_q
   let solver = Sat.Solver.create () in
   let env = Aig.Cnf.create mgr solver in
   let candidates = ref 0 and confirmed = ref 0 in
-  (* Per-query conflict cap: an equivalence either falls out quickly from
-     the shared structure or is not worth chasing. *)
-  let budget = if budget = 0 then 20_000 else min budget 20_000 in
   let queries = ref 0 in
   let equivalent a b =
     incr candidates;
@@ -89,7 +94,7 @@ let improve ?(budget = 0) ?(sim_rounds = 4) ?(seed = 0xeca) ?(free = []) ?(max_q
     else if !queries >= max_queries then false
     else begin
       incr queries;
-      if budget > 0 then Sat.Solver.set_budget solver budget;
+      Sat.Solver.set_budget solver budget;
       let xl = Aig.Cnf.lit env x in
       match Sat.Solver.solve ~assumptions:[ xl ] solver with
       | Sat.Solver.Unsat ->
@@ -99,7 +104,6 @@ let improve ?(budget = 0) ?(sim_rounds = 4) ?(seed = 0xeca) ?(free = []) ?(max_q
     end
   in
   (* Cheapest confirmed equivalent divisor per cone node. *)
-  let max_tries = 4 in
   let equiv_divisor = Array.make (Array.length cone_nodes) None in
   Array.iteri
     (fun i id ->

@@ -16,18 +16,11 @@ type stats = {
   improved : bool;
 }
 
-val improve :
-  ?budget:int ->
-  ?sim_rounds:int ->
-  ?seed:int ->
-  ?free:string list ->
-  ?max_queries:int ->
-  Miter.t ->
-  Patch.t ->
-  Patch.t * stats
+val improve : ?free:string list -> Miter.t -> Patch.t -> Patch.t * stats
 (** [improve miter patch] requires the patch support to be a subset of the
     miter's x inputs (a structural patch).  Returns the original patch
     unchanged when no cheaper cut exists.  Signals in [free] are treated as
     already paid for (used by sibling patches), pricing at zero — the
     knob that makes the improvement union-cost-aware for multi-target
-    ECOs. *)
+    ECOs.  Its limits are constants: 4 simulation rounds, at most 600
+    SAT confirmations of 20,000 conflicts each, 4 tries per patch node. *)

@@ -2,28 +2,24 @@ type method_ = Baseline | Min_assume | Exact
 
 type config = {
   method_ : method_;
-  sat_budget : int;
-  feasibility_budget : int;
   force_structural : bool;
   verify : bool;
-  verify_budget : int;
   certify : bool; (* independently certify final SAT/UNSAT verdicts *)
-  max_cubes : int;
 }
 
-let config_of_method m =
-  {
-    method_ = m;
-    sat_budget = 60_000;
-    feasibility_budget = 80_000;
-    force_structural = false;
-    verify = true;
-    verify_budget = 40_000;
-    certify = false;
-    max_cubes = 400; (* the largest completed enumeration in Table 1 takes 171 *)
-  }
-
+let config_of_method m = { method_ = m; force_structural = false; verify = true; certify = false }
 let default_config = config_of_method Min_assume
+
+(* Counted stand-ins for the paper's timeouts: conflicts per SAT call,
+   prime cubes per target (the largest completed enumeration in Table 1
+   takes 171) and hitting-set nodes per exact target.  The structural
+   path's cofactor-tree patches rarely verify by CEC; they get a quarter
+   of the verification budget. *)
+let sat_budget = 60_000
+let feasibility_budget = 80_000
+let max_cubes = 400
+let sat_prune_nodes = 40_000
+let verify_budget config = if config.force_structural then 10_000 else 40_000
 
 type status = Solved | Infeasible | Failed of string
 
@@ -88,7 +84,7 @@ let check_feasibility config (miter : Miter.t) notes =
       Qbf.Qbf2.solve miter.Miter.mgr ~phi:miter.Miter.miter_lit
         ~exists_inputs:(Miter.x_lits miter)
         ~forall_inputs:(List.map snd targets)
-        ~budget:config.feasibility_budget
+        ~budget:feasibility_budget
     in
     notes := ("qbf_iterations", stats.Qbf.Qbf2.iterations) :: !notes;
     match answer with
@@ -101,7 +97,7 @@ let check_feasibility config (miter : Miter.t) notes =
     (* The QBF branch above has no certification path (no clause-level
        proof object); the CEC branch certifies when asked. *)
     match
-      Cec.check_lit ~budget:config.feasibility_budget ~certify:config.certify miter.Miter.mgr
+      Cec.check_lit ~budget:feasibility_budget ~certify:config.certify miter.Miter.mgr
         quantified
     with
     | Cec.Equivalent -> Feasible None
@@ -146,11 +142,6 @@ let commit_steps acc =
 
 let discard_steps acc = Telemetry.Counter.add tc_discarded (List.length acc)
 
-(* Hitting-set branch-and-bound nodes the exact search may spend on one
-   target before its minimize_assumptions incumbent stands — the counted
-   stand-in for the paper's per-target timeout (§3.4.2). *)
-let sat_prune_nodes = 40_000
-
 (* SAT pipeline: targets one at a time (§3.1), each on a fresh two-copy
    instance; raises Min_assume.Budget_exhausted to trigger the structural
    fallback.  Completed steps accumulate in [acc] so a mid-flight timeout
@@ -160,7 +151,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
     (fun (name, _) ->
       let m_i = Miter.quantify_others miter ~keep:name in
       let tc = Two_copy.build ~certify:config.certify miter ~m_i ~target:name in
-      let budget = config.sat_budget in
+      let budget = sat_budget in
       let selection =
         (* The two-copy solver calls are charged whether or not the search
            finishes: an aborted support search is still solver effort. *)
@@ -176,7 +167,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
                local-optimum behaviour on multi-target units). *)
             let incumbent = Support.with_min_assume ~budget tc in
             match
-              Sat_prune.minimum_support ~budget ~max_iterations:150 ~max_nodes:sat_prune_nodes
+              Sat_prune.minimum_support ~budget ~max_nodes:sat_prune_nodes
                 ?incumbent tc
             with
             | o ->
@@ -199,7 +190,7 @@ let sat_pipeline config (miter : Miter.t) notes sat_calls acc =
         let pf =
           match
             Telemetry.with_phase "patch_fun" @@ fun () ->
-            Patch_fun.compute ~budget ~certify:config.certify ~max_cubes:config.max_cubes miter
+            Patch_fun.compute ~budget ~certify:config.certify ~max_cubes miter
               ~m_i ~target:name ~chosen:sel.Support.indices
           with
           | pf -> pf
@@ -255,7 +246,7 @@ let structural_pipeline config (miter : Miter.t) window certificate notes =
             Qbf.Qbf2.solve miter.Miter.mgr ~phi:miter.Miter.miter_lit
               ~exists_inputs:(Miter.x_lits miter)
               ~forall_inputs:(List.map snd remaining)
-              ~budget:(max 10_000 (config.feasibility_budget / 4))
+              ~budget:(feasibility_budget / 4)
           in
           (match answer with
           | Qbf.Qbf2.Unsat cert when cert <> [] -> cert
@@ -276,7 +267,7 @@ let structural_pipeline config (miter : Miter.t) window certificate notes =
       let improved =
         List.map
           (fun p ->
-            let p', st = Cegar_min.improve ~budget:config.sat_budget ~free:!used miter p in
+            let p', st = Cegar_min.improve ~free:!used miter p in
             notes := ("cegar_min_confirmed", st.Cegar_min.confirmed) :: !notes;
             used := List.map fst p'.Patch.support @ !used;
             p')
@@ -324,17 +315,15 @@ let solve ?(config = default_config) ?window inst =
   let sat_calls = ref 0 in
   let acc = ref [] in
   let finish ?miter status patches used_structural =
-    (* Verification ladder: random simulation (inside Verify.check), then
-       the substituted miter — whose two sides share structure, making the
-       UNSAT proof far easier than a from-scratch CEC — then the full
-       netlist-level CEC. *)
+    (* Verification ladder: the substituted miter — whose two sides share
+       structure, making the UNSAT proof far easier than a from-scratch
+       CEC — then Verify.check: random simulation and the full
+       netlist-level CEC.  A miter counterexample short-circuits. *)
+    let budget = verify_budget config in
     let miter_says () =
       match miter with
       | Some (m : Miter.t) when m.Miter.patched <> [] -> (
-        match
-          Cec.check_lit ~budget:config.verify_budget ~certify:config.certify m.Miter.mgr
-            m.Miter.miter_lit
-        with
+        match Cec.check_lit ~budget ~certify:config.certify m.Miter.mgr m.Miter.miter_lit with
         | Cec.Equivalent -> Some true
         | Cec.Counterexample _ -> Some false
         | Cec.Undecided -> None)
@@ -345,20 +334,15 @@ let solve ?(config = default_config) ?window inst =
       match (status, config.verify, patches) with
       | Solved, true, _ :: _ -> (
         match miter_says () with
-        | Some true -> (
-          (* The window outputs are rectified; confirm the whole netlist
-             (covers outputs outside the window) with the remaining
-             budget. *)
-          match Verify.check ~budget:config.verify_budget ~certify:config.certify inst patches with
-          | Cec.Equivalent -> Some true
-          | Cec.Counterexample _ -> Some false
-          | Cec.Undecided -> Some true)
         | Some false -> Some false
-        | None -> (
-          match Verify.check ~budget:config.verify_budget ~certify:config.certify inst patches with
+        | miter -> (
+          (* Confirm on the whole netlist, which covers outputs outside
+             the window; an undecided netlist CEC keeps the miter's
+             answer. *)
+          match Verify.check ~budget ~certify:config.certify inst patches with
           | Cec.Equivalent -> Some true
           | Cec.Counterexample _ -> Some false
-          | Cec.Undecided -> None))
+          | Cec.Undecided -> miter))
       | _ -> None
     in
     Telemetry.Counter.add tc_sat_calls !sat_calls;

@@ -15,15 +15,11 @@ type method_ =
 
 type config = {
   method_ : method_;
-  sat_budget : int;  (** conflicts per SAT call; 0 = unlimited *)
-  feasibility_budget : int;
   force_structural : bool;
       (** skip the feasibility check and the SAT pipeline, emulating a
-          feasibility timeout *)
+          feasibility timeout; verification gets 10,000 conflicts per
+          query instead of 40,000 *)
   verify : bool;
-  verify_budget : int;
-      (** conflicts for each step of the verification ladder (simulation,
-          shared-structure miter check, netlist CEC) *)
   certify : bool;
       (** independently certify every final SAT/UNSAT verdict of the run
           (feasibility, support cores, prime cubes, verification) against
@@ -32,12 +28,18 @@ type config = {
           unchanged — certification only taps clause logs and replays
           proofs afterwards.  The 2QBF feasibility path produces no
           clause-level proof object and stays uncertified. *)
-  max_cubes : int;
-      (** prime cubes per target before the structural fallback *)
 }
 
 val config_of_method : method_ -> config
 val default_config : config
+
+val sat_budget : int
+(** Conflicts per SAT call of the support search and the patch
+    computation (60,000).  Every limit inside {!solve} is such a
+    constant; ARCHITECTURE.md lists them. *)
+
+val max_cubes : int
+(** Prime cubes per target before the structural fallback (400). *)
 
 val union_cost : ?weights:Netlist.Weights.weights -> Patch.t list -> int
 (** Total weight of the distinct support signals across the patches.

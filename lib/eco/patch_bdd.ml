@@ -4,7 +4,10 @@ type result = {
   cubes : int;
 }
 
-let compute ?(max_vars = 24) (miter : Miter.t) ~m_i ~target ~(window : Window.t) =
+(* Window inputs beyond which BDDs are not attempted. *)
+let max_vars = 24
+
+let compute (miter : Miter.t) ~m_i ~target ~(window : Window.t) =
   let support_names =
     List.filter (fun n -> List.mem_assoc n miter.Miter.x_inputs) window.Window.window_pis
   in

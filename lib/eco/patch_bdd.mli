@@ -14,8 +14,8 @@ type result = {
 }
 
 val compute :
-  ?max_vars:int -> Miter.t -> m_i:Aig.lit -> target:string -> window:Window.t -> result option
-(** [None] when the window has more than [max_vars] (default 24) primary
+  Miter.t -> m_i:Aig.lit -> target:string -> window:Window.t -> result option
+(** [None] when the window has more than 24 primary
     inputs — BDDs over wide supports are exactly what the paper's SAT
     formulation avoids.  Raises [Failure] if the target cannot rectify the
     window (the interval is empty). *)

@@ -1,6 +1,9 @@
 type outcome = { selection : Support.selection option; iterations : int }
 
-let minimum_support ?budget ?(max_iterations = 2000) ?(max_nodes = max_int) ?incumbent tc =
+(* Refinement rounds per target. *)
+let max_iterations = 150
+
+let minimum_support ?budget ?(max_nodes = max_int) ?incumbent tc =
   let n = Two_copy.n_divisors tc in
   let weights = Array.init n (fun i -> (Two_copy.divisor tc i).Miter.div_cost) in
   let calls0 = Two_copy.solver_calls tc in

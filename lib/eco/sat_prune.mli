@@ -19,7 +19,6 @@ type outcome = {
 
 val minimum_support :
   ?budget:int ->
-  ?max_iterations:int ->
   ?max_nodes:int ->
   ?incumbent:Support.selection ->
   Two_copy.t ->
@@ -28,8 +27,7 @@ val minimum_support :
     [minimize_assumptions] result): as soon as the hitting-set lower bound
     reaches its cost the incumbent is returned as provably minimum, which
     prunes most of the refinement loop.  Every limit is counted:
-    [budget] conflicts per SAT call, [max_iterations] (default 2000)
-    refinement rounds, and [max_nodes] (default unlimited) hitting-set
+    [budget] conflicts per SAT call, 150 refinement rounds, and [max_nodes] (default unlimited) hitting-set
     nodes over the whole search, of which each
     {!Diff.Hitting_set.minimum} call gets what is left.  Raises
     {!Min_assume.Budget_exhausted} when any of them runs out. *)

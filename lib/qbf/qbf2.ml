@@ -18,7 +18,10 @@ let tc_solves = Telemetry.Counter.make "qbf.solves"
 let tc_iterations = Telemetry.Counter.make "qbf.iterations"
 let tc_cex = Telemetry.Counter.make "qbf.counterexamples"
 
-let solve ?(max_iterations = 10_000) ?(budget = 0) mgr ~phi ~exists_inputs ~forall_inputs =
+(* CEGAR refinement rounds before the answer is [Unknown]. *)
+let max_iterations = 10_000
+
+let solve ?(budget = 0) mgr ~phi ~exists_inputs ~forall_inputs =
   Telemetry.with_phase "qbf" @@ fun () ->
   Telemetry.Counter.incr tc_solves;
   let n_e = List.length exists_inputs and n_f = List.length forall_inputs in

@@ -21,7 +21,6 @@ type answer =
 type stats = { iterations : int; synth_conflicts : int; verif_conflicts : int }
 
 val solve :
-  ?max_iterations:int ->
   ?budget:int ->
   Aig.t ->
   phi:Aig.lit ->
@@ -29,4 +28,6 @@ val solve :
   forall_inputs:Aig.lit list ->
   answer * stats
 (** The two input lists must cover every input in the support of [phi]
-    (inputs outside both lists are treated as existential). *)
+    (inputs outside both lists are treated as existential).  [budget]
+    caps conflicts per SAT call (0 = unlimited); after 10,000 CEGAR
+    iterations the answer is [Unknown]. *)

@@ -58,34 +58,3 @@ let var_class t v =
   | true, false -> `A_local
   | false, true -> `B_local
   | false, false -> `Unused
-
-(* Re-play every derivation as set-based resolution. *)
-let check t =
-  let module S = Set.Make (Int) in
-  let lits_of id =
-    match node t id with
-    | Leaf { lits; _ } | Derived { lits; _ } -> S.of_list (Array.to_list lits)
-  in
-  let ok = ref true in
-  for id = 0 to size t - 1 do
-    match node t id with
-    | Leaf _ -> ()
-    | Derived { lits; base; steps } ->
-      let current = ref (lits_of base) in
-      Array.iter
-        (fun (pivot, ante) ->
-          let pos = Lit.make pivot and neg = Lit.make_neg pivot in
-          let other = lits_of ante in
-          let here_pos = S.mem pos !current and here_neg = S.mem neg !current in
-          let there_pos = S.mem pos other and there_neg = S.mem neg other in
-          if not ((here_pos && there_neg) || (here_neg && there_pos)) then ok := false;
-          current := S.union (S.remove pos (S.remove neg !current)) (S.remove pos (S.remove neg other)))
-        steps;
-      if not (S.equal !current (S.of_list (Array.to_list lits))) then ok := false
-  done;
-  (match t.empty with
-  | Some id ->
-    (match node t id with
-    | Leaf { lits; _ } | Derived { lits; _ } -> if Array.length lits <> 0 then ok := false)
-  | None -> ());
-  !ok

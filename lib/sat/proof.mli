@@ -34,8 +34,3 @@ val empty_clause : t -> int option
 
 val var_class : t -> int -> [ `A_local | `B_local | `Shared | `Unused ]
 (** Occurrence class of a variable over the leaf clauses. *)
-
-val check : t -> bool
-(** Internal consistency: every derivation's resolutions are well-formed
-    (each pivot occurs with opposite phases in the operands, and the
-    conclusion is the union minus the pivots).  Expensive; for tests. *)

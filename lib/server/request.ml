@@ -3,7 +3,6 @@ type options = {
   certify : bool;
   structural : bool;
   verify : bool;
-  budget : int;
   no_cache : bool;
 }
 
@@ -13,7 +12,6 @@ let default_options =
     certify = false;
     structural = false;
     verify = true;
-    budget = 0;
     no_cache = false;
   }
 
@@ -90,26 +88,22 @@ let parse_options obj =
     | None -> default_options.method_
     | Some s -> ( match method_of_string s with Ok m -> m | Error e -> bad "%s" e)
   in
-  let budget =
-    match get_int_opt obj "budget" with
-    | None -> 0
-    | Some b when b >= 0 -> b
-    | Some b -> bad "field \"budget\" must be non-negative, got %d" b
-  in
-  (* The patch-resynthesis keys: ignoring [resynth: true] would silently
-     serve unimproved patches to a client that asked for improved ones, so
-     they are refused instead. *)
+  (* Retired keys that would change the answer: ignoring [resynth: true]
+     would silently serve unimproved patches to a client that asked for
+     improved ones, and ignoring [budget] would run a different search
+     from the one asked for, so they are refused instead. *)
   List.iter
     (fun key ->
       if Jsonx.member key obj <> None then
         bad "field %S is retired: patch resynthesis was removed" key)
     [ "resynth"; "exact_synth"; "rewrite"; "gate_weight"; "depth_weight" ];
+  if Jsonx.member "budget" obj <> None then
+    bad "field \"budget\" is retired: the engine's conflict budgets are fixed";
   {
     method_;
     certify = get_bool obj "certify" ~default:false;
     structural = get_bool obj "structural" ~default:false;
     verify = get_bool obj "verify" ~default:true;
-    budget;
     no_cache = get_bool obj "no_cache" ~default:false;
   }
 
@@ -226,13 +220,7 @@ let resolve source =
 
 let config_of_options o =
   let c = Eco.Engine.config_of_method o.method_ in
-  let c = { c with Eco.Engine.certify = o.certify; verify = o.verify } in
-  let c =
-    if o.budget > 0 then { c with Eco.Engine.sat_budget = o.budget; feasibility_budget = o.budget }
-    else c
-  in
-  if o.structural then { c with Eco.Engine.force_structural = true; verify_budget = 10_000 }
-  else c
+  { c with Eco.Engine.certify = o.certify; verify = o.verify; force_structural = o.structural }
 
 (* {2 Rendering} *)
 
@@ -313,7 +301,6 @@ let spec_to_json { source; options = o } =
     @ flag "certify" o.certify
     @ flag "structural" o.structural
     @ (if o.verify then [] else [ ("verify", Jsonx.Bool false) ])
-    @ (if o.budget > 0 then [ ("budget", Jsonx.Int o.budget) ] else [])
     @ flag "no_cache" o.no_cache)
 
 let to_json ?(id = Jsonx.Null) ?deadline_ms request =

@@ -18,7 +18,6 @@ type options = {
           and trims the verification budget, exactly as [eco_cli batch]
           does for suite units flagged structural *)
   verify : bool;
-  budget : int;  (** conflicts per SAT call; 0 = library default *)
   no_cache : bool;  (** bypass the server's outcome cache for this job *)
 }
 
@@ -92,9 +91,10 @@ val resolve : source -> (Eco.Instance.t, string) result
 
 val config_of_options : options -> Eco.Engine.config
 (** Method defaults plus the option overrides; the [structural] override
-    forces the structural path and trims [verify_budget] to 10k
-    conflicts.  Every front end ([eco_cli solve]/[batch], the server, the
-    bench drivers) maps its options to an engine config through here. *)
+    forces the structural path, which also trims the verification budget
+    to 10k conflicts.  Every front end ([eco_cli solve]/[batch], the
+    server, the bench drivers) maps its options to an engine config
+    through here. *)
 
 val render_outcome : name:string -> Eco.Engine.outcome -> Jsonx.t
 (** The deterministic ["result"] object of a solve response: status,

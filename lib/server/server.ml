@@ -6,24 +6,18 @@ module Client = Client
 
 type config = {
   jobs : int;
-  cache : bool;
-  cone_cache : bool;
   cache_entries : int;
   cache_bytes : int;
   guard_period : int;
-  certify_all : bool;
   max_frame : int;
 }
 
 let default_config =
   {
     jobs = 1;
-    cache = true;
-    cone_cache = true;
     cache_entries = 256;
     cache_bytes = 64 * 1024 * 1024;
     guard_period = 16;
-    certify_all = false;
     max_frame = Protocol.max_frame_default;
   }
 
@@ -37,7 +31,7 @@ let c_solves = Telemetry.Counter.make "server.solves"
 type t = {
   config : config;
   outcome : string Cache.t;
-  cone : Cec.verdict Cache.t option;
+  cone : Cec.verdict Cache.t;
   draining_flag : bool Atomic.t;
   fail_next : bool Atomic.t;
   wake_fd : Unix.file_descr option Atomic.t;  (* serve's self-pipe write end *)
@@ -69,16 +63,13 @@ let create config =
     Cache.create ~max_entries:config.cache_entries ~max_bytes:config.cache_bytes
       ~guard_period:config.guard_period ~name:"cache" ()
   in
+  (* Verdicts are tiny next to outcomes; give them more slots under the
+     same byte cap. *)
   let cone =
-    if config.cone_cache then
-      (* Verdicts are tiny next to outcomes; give them more slots under
-         the same byte cap. *)
-      Some
-        (Cache.create ~max_entries:(4 * config.cache_entries) ~max_bytes:config.cache_bytes
-           ~name:"cache.cone" ())
-    else None
+    Cache.create ~max_entries:(4 * config.cache_entries) ~max_bytes:config.cache_bytes
+      ~name:"cache.cone" ()
   in
-  (match cone with Some c -> install_memo c | None -> ());
+  install_memo cone;
   {
     config;
     outcome;
@@ -91,12 +82,6 @@ let create config =
 let draining t = Atomic.get t.draining_flag
 
 let outcome_cache t = t.outcome
-
-let normalise_options t (o : Request.options) =
-  if t.config.certify_all then { o with Request.certify = true } else o
-
-let solve_fingerprint t (spec : Request.solve_spec) inst =
-  Fingerprint.instance inst (normalise_options t spec.Request.options)
 
 (* {2 Job execution} *)
 
@@ -118,7 +103,7 @@ let run_job t ~deadline (spec : Request.solve_spec) =
     Error (Protocol.Deadline_expired, "deadline elapsed before the job started")
   end
   else begin
-    let options = normalise_options t spec.Request.options in
+    let options = spec.Request.options in
     match Request.resolve spec.Request.source with
     | Error msg -> Error (Protocol.Bad_request, msg)
     | Ok inst -> (
@@ -126,8 +111,7 @@ let run_job t ~deadline (spec : Request.solve_spec) =
         if Atomic.compare_and_set t.fail_next true false then
           failwith "injected failure (For_tests.fail_next_job)";
         let name = inst.Eco.Instance.name in
-        let use_cache = t.config.cache && not options.Request.no_cache in
-        if not use_cache then Ok (false, solve_rendered ~name ~options ~force_certify:false inst)
+        if options.Request.no_cache then Ok (false, solve_rendered ~name ~options ~force_certify:false inst)
         else begin
           let key = Fingerprint.instance inst options in
           match Cache.find t.outcome key with
@@ -163,12 +147,10 @@ let stats_json t =
        ("draining", Jsonx.Bool (draining t));
        ("jobs", Jsonx.Int t.config.jobs);
        ("cache", cache_stats_json t.outcome);
-     ]
-    @ (match t.cone with Some c -> [ ("cone_cache", cache_stats_json c) ] | None -> [])
-    @ [
-        ( "counters",
-          Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) (Telemetry.snapshot ())) );
-      ])
+       ("cone_cache", cache_stats_json t.cone);
+       ( "counters",
+         Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) (Telemetry.snapshot ())) );
+     ])
 
 let error_response ~id code msg =
   Telemetry.Counter.incr c_errors;

@@ -34,24 +34,23 @@ module Client = Client
 
 type config = {
   jobs : int;  (** worker domains for solve/batch jobs (>= 1) *)
-  cache : bool;  (** keep the cross-request outcome cache *)
-  cone_cache : bool;  (** install the {!Cec.memo} verdict cache *)
   cache_entries : int;  (** outcome-cache entry cap *)
   cache_bytes : int;  (** outcome-cache byte cap — the idle-memory bound *)
   guard_period : int;  (** re-certify every n-th cache hit; 0 disables *)
-  certify_all : bool;  (** force [--certify] semantics on every job *)
   max_frame : int;  (** protocol frame cap in bytes *)
 }
 
 val default_config : config
-(** 1 worker, both caches on (256 entries / 64 MiB / guard every 16th
-    hit), no forced certification, 8 MiB frames. *)
+(** 1 worker, 256 entries / 64 MiB / guard every 16th hit, 8 MiB
+    frames.  Both caches are always on; a request opts out of the
+    outcome cache with its [no_cache] option, and a [certify] request
+    bypasses the cone cache. *)
 
 type t
 
 val create : config -> t
-(** Builds the server state (caches, counters); installs the CEC memo
-    when [cone_cache] is set.  No socket is opened — {!serve} does
+(** Builds the server state (caches, counters) and installs the cone
+    cache as the process-global CEC memo.  No socket is opened — {!serve} does
     that, and the synchronous entry points below work without one. *)
 
 val process : t -> deadline:Deadline.t -> Request.envelope -> string
@@ -80,11 +79,6 @@ val draining : t -> bool
 val outcome_cache : t -> string Cache.t
 (** The outcome cache — exposed for the cache-poisoning guard test and
     the stats op; treat as read-mostly. *)
-
-val solve_fingerprint : t -> Request.solve_spec -> Eco.Instance.t -> Cache.key
-(** The key {!process} uses for a job — [Fingerprint.instance] after
-    the server-side option normalisation ([certify_all]), so tests can
-    plant entries that collide with real traffic. *)
 
 (**/**)
 

@@ -245,6 +245,28 @@ let check_bench_usage what args =
   Alcotest.(check (list string)) (what ^ ": nothing written") [] (Array.to_list (Sys.readdir dir));
   check_no_backtrace what err
 
+(* Flags retired with the settings they set are refused before anything
+   runs, with one diagnostic line naming the flag (cmdliner's usage hint
+   may follow it). *)
+let test_retired_flags () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, _out, err = run args in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      let flag = List.find (String.starts_with ~prefix:"--") args in
+      Alcotest.(check (list string)) (what ^ ": one diagnostic")
+        [ Printf.sprintf "eco-patch: unknown option '%s'." flag ]
+        (List.filter (String.starts_with ~prefix:"eco-patch:") (lines err));
+      check_no_backtrace what err)
+    [
+      [ "solve"; "--budget"; "10"; "--unit"; "unit5" ];
+      [ "client"; "--budget"; "10"; "--unit"; "unit5" ];
+      [ "serve"; "--no-cache" ];
+      [ "serve"; "--no-cone-cache" ];
+      [ "serve"; "--certify-all" ];
+    ]
+
 let test_bench_usage () =
   List.iter
     (fun (what, args) -> check_bench_usage ("bench " ^ what) ("table1-smoke" :: args))
@@ -268,6 +290,7 @@ let () =
           Alcotest.test_case "unreadable netlist" `Quick test_unreadable_input_file;
           Alcotest.test_case "missing --target" `Quick test_missing_targets;
           Alcotest.test_case "bench driver argv" `Quick test_bench_usage;
+          Alcotest.test_case "retired flags" `Quick test_retired_flags;
         ] );
       ( "operational",
         [

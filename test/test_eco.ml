@@ -434,17 +434,29 @@ let test_union_cost_conflicting_costs () =
     (Eco.Engine.union_cost ~weights:w [ p1; p2 ])
     (Eco.Engine.union_cost ~weights:w [ p2; p1 ])
 
+(* impl drives y through target w = g9, the AND chain g(i) = g(i-1) . x(i)
+   over ten inputs; spec wants their parity, whose on-set has 2^9 = 512
+   prime cubes over the ten-input minimum support. *)
+let parity10_instance () =
+  let x i = Printf.sprintf "x%d" i and g i = if i = 9 then "w" else Printf.sprintf "g%d" i in
+  let netlist gate =
+    Netlist.create
+      (List.init 10 (fun i -> n (x i) Netlist.Input [])
+      @ List.init 9 (fun i -> n (g (i + 1)) gate [ (if i = 0 then x 0 else g i); x (i + 1) ])
+      @ [ n "y" Netlist.Buf [ "w" ] ])
+      ~outputs:[ "y" ]
+  in
+  Eco.Instance.make ~name:"parity10" ~impl:(netlist Netlist.And) ~spec:(netlist Netlist.Xor)
+    ~targets:[ "w" ] ~weights:(Hashtbl.create 1) ()
+
 (* Regression: when cube enumeration aborts mid-target (conflict budget
    or cube cap) the partial solver effort must still reach the outcome and
    the telemetry counters, and the engine must fall back to structural. *)
 let test_abort_keeps_solver_effort () =
-  let inst = tiny_instance () in
+  let inst = parity10_instance () in
+  Alcotest.(check bool) "the cube cap binds" true (Eco.Engine.max_cubes < 512);
   let before = Telemetry.snapshot () in
-  let o =
-    solve_with Eco.Engine.Min_assume
-      ~tweak:(fun c -> { c with Eco.Engine.max_cubes = 0 })
-      inst
-  in
+  let o = solve_with Eco.Engine.Min_assume inst in
   check_solved_verified "aborted enumeration" o;
   Alcotest.(check bool) "fell back to structural" true o.Eco.Engine.used_structural;
   let delta = Telemetry.diff before (Telemetry.snapshot ()) in

@@ -16,7 +16,7 @@ let test_proof_logged_unsat () =
   | None -> Alcotest.fail "proof expected"
   | Some proof ->
     Alcotest.(check bool) "empty clause derived" true (Sat.Proof.empty_clause proof <> None);
-    Alcotest.(check bool) "proof checks" true (Sat.Proof.check proof)
+    Alcotest.(check bool) "proof checks" true (Test_util.proof_valid proof)
 
 let test_proof_search_unsat () =
   (* Pigeonhole php(4): needs real search, exercises learned-clause
@@ -39,7 +39,7 @@ let test_proof_search_unsat () =
   | None -> Alcotest.fail "proof expected"
   | Some proof ->
     Alcotest.(check bool) "empty clause" true (Sat.Proof.empty_clause proof <> None);
-    Alcotest.(check bool) "well-formed resolutions" true (Sat.Proof.check proof)
+    Alcotest.(check bool) "well-formed resolutions" true (Test_util.proof_valid proof)
 
 let test_proof_sat_keeps_no_empty () =
   let s = Sat.Solver.create ~proof:true () in
@@ -108,7 +108,7 @@ let interpolant_properties =
         | Sat.Solver.Sat | Sat.Solver.Unknown -> false (* must be unsat by construction *)
         | Sat.Solver.Unsat ->
           let proof = Option.get (Sat.Solver.proof solver) in
-          if not (Sat.Proof.check proof) then false
+          if not (Test_util.proof_valid proof) then false
           else begin
             let inv = Hashtbl.create 8 in
             Array.iteri (fun i sl -> Hashtbl.replace inv (Sat.Lit.var sl) xs.(i)) shared_sat;

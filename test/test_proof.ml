@@ -5,8 +5,8 @@
 let lit = Sat.Lit.make
 let nlit = Sat.Lit.make_neg
 
-(* Reference resolution over sorted literal lists, independent of both
-   [Proof.check] and the cert checker. *)
+(* Reference resolution over sorted literal lists, independent of the
+   cert checker. *)
 let resolve a b pivot =
   let keep l = Sat.Lit.var l <> pivot in
   List.sort_uniq compare (List.filter keep a @ List.filter keep b)
@@ -19,6 +19,12 @@ let replay proof base steps =
   in
   List.fold_left (fun acc (pivot, ante) -> resolve acc (clause_of ante) pivot) (clause_of base) steps
 
+(* The checker validates a proof through its empty-clause root: refute the
+   derived unit [x] with the leaf (~x). *)
+let refute_unit p d x =
+  let leaf = Sat.Proof.add_leaf p Sat.Proof.Part_b [| nlit x |] in
+  Sat.Proof.set_empty p (Sat.Proof.add_derived p [||] ~base:d ~steps:[ (x, leaf) ])
+
 let test_derived_replay () =
   let p = Sat.Proof.create () in
   (* (x0 | x1), (~x0 | x2), (~x1 | x2) |- (x2) *)
@@ -27,7 +33,8 @@ let test_derived_replay () =
   let c2 = Sat.Proof.add_leaf p Sat.Proof.Part_a [| nlit 1; lit 2 |] in
   let steps = [ (0, c1); (1, c2) ] in
   let d = Sat.Proof.add_derived p [| lit 2 |] ~base:c0 ~steps in
-  Alcotest.(check bool) "well-formed" true (Sat.Proof.check p);
+  refute_unit p d 2;
+  Alcotest.(check bool) "well-formed" true (Test_util.proof_valid p);
   (match Sat.Proof.node p d with
   | Sat.Proof.Derived { lits; base; steps = s } ->
     Alcotest.(check (list int)) "recorded lits" [ lit 2 ] (Array.to_list lits);
@@ -47,7 +54,8 @@ let test_derived_replay_long_chain () =
   in
   let steps = List.mapi (fun i ante -> (i, ante)) links in
   let d = Sat.Proof.add_derived p [| lit 5 |] ~base:x0 ~steps in
-  Alcotest.(check bool) "well-formed" true (Sat.Proof.check p);
+  refute_unit p d 5;
+  Alcotest.(check bool) "well-formed" true (Test_util.proof_valid p);
   Alcotest.(check (list int)) "replay" [ lit 5 ] (replay p x0 steps);
   match Sat.Proof.node p d with
   | Sat.Proof.Derived { lits; _ } ->
@@ -58,9 +66,11 @@ let test_check_rejects_wrong_conclusion () =
   let p = Sat.Proof.create () in
   let c0 = Sat.Proof.add_leaf p Sat.Proof.Part_a [| lit 0; lit 1 |] in
   let c1 = Sat.Proof.add_leaf p Sat.Proof.Part_a [| nlit 0; lit 2 |] in
-  (* Claimed conclusion drops x2, which the resolution does not justify. *)
-  ignore (Sat.Proof.add_derived p [| lit 1 |] ~base:c0 ~steps:[ (0, c1) ]);
-  Alcotest.(check bool) "rejected" false (Sat.Proof.check p)
+  (* Claimed conclusion drops x2, which the resolution does not justify;
+     refuting the claim would otherwise close the proof. *)
+  let d = Sat.Proof.add_derived p [| lit 1 |] ~base:c0 ~steps:[ (0, c1) ] in
+  refute_unit p d 1;
+  Alcotest.(check bool) "rejected" false (Test_util.proof_valid p)
 
 let test_set_empty_roots_derivation () =
   let p = Sat.Proof.create () in
@@ -70,7 +80,7 @@ let test_set_empty_roots_derivation () =
   let e = Sat.Proof.add_derived p [||] ~base:c0 ~steps:[ (0, c1) ] in
   Sat.Proof.set_empty p e;
   Alcotest.(check (option int)) "root recorded" (Some e) (Sat.Proof.empty_clause p);
-  Alcotest.(check bool) "well-formed" true (Sat.Proof.check p);
+  Alcotest.(check bool) "well-formed" true (Test_util.proof_valid p);
   Alcotest.(check (list int)) "replays to the empty clause" [] (replay p c0 [ (0, c1) ])
 
 let test_solver_unsat_proof_is_rooted () =
@@ -88,7 +98,7 @@ let test_solver_unsat_proof_is_rooted () =
   | None -> Alcotest.fail "proof logging was enabled"
   | Some p ->
     Alcotest.(check bool) "rooted" true (Sat.Proof.empty_clause p <> None);
-    Alcotest.(check bool) "well-formed" true (Sat.Proof.check p)
+    Alcotest.(check bool) "well-formed" true (Test_util.proof_valid p)
 
 let () =
   Alcotest.run "proof"

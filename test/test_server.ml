@@ -199,8 +199,7 @@ let test_parse_roundtrip () =
 
 (* {2 The synchronous solve path} *)
 
-let sync_config =
-  { Server.default_config with Server.jobs = 1; cone_cache = false; guard_period = 0 }
+let sync_config = { Server.default_config with Server.jobs = 1; guard_period = 0 }
 
 let test_solve_and_cache () =
   let t = Server.create sync_config in
@@ -231,6 +230,18 @@ let test_bad_request_error () =
   (* The same server keeps answering after a bad request. *)
   let ok = parse_response (Server.handle_payload t (payload (R.Solve (unit_spec "unit5")))) in
   Alcotest.(check bool) "still serving" true (Server.Client.is_ok ok)
+
+(* The conflict budgets are engine constants: a request asking for its
+   own would get a different search, so it is refused, naming the field. *)
+let test_budget_refused () =
+  let t = Server.create sync_config in
+  let s = {|{"v":1,"op":"solve","unit":"unit5","budget":1000}|} in
+  match Server.Client.error_of (parse_response (Server.handle_payload t s)) with
+  | Some (code, msg) ->
+    Alcotest.(check string) "budget refused" "bad_request" code;
+    Alcotest.(check bool) ("names the field: " ^ msg) true
+      (String.starts_with ~prefix:"field \"budget\"" msg)
+  | None -> Alcotest.fail "expected an error response"
 
 let test_deadline_expired () =
   let t = Server.create sync_config in
@@ -273,6 +284,9 @@ let test_stats_shape () =
   (match Option.bind (J.member "cache" result) (J.member "entries") with
   | Some (J.Int n) -> Alcotest.(check int) "one cached outcome" 1 n
   | _ -> Alcotest.fail "cache.entries missing");
+  (match Option.bind (J.member "cone_cache" result) (J.member "entries") with
+  | Some (J.Int _) -> ()
+  | _ -> Alcotest.fail "cone_cache.entries missing");
   match J.member "counters" result with
   | Some (J.Obj kvs) ->
     Alcotest.(check bool) "server.solves present" true
@@ -289,7 +303,7 @@ let test_guard_catches_poisoned_entry () =
   let inst =
     match R.resolve spec.R.source with Ok i -> i | Error e -> Alcotest.fail e
   in
-  let key = Server.solve_fingerprint t spec inst in
+  let key = Server.Fingerprint.instance inst spec.R.options in
   let bogus = "{\"name\":\"unit5\",\"status\":\"bogus\"}" in
   Cache.add (Server.outcome_cache t) key ~bytes:(String.length bogus) bogus;
   let failed_before = cv "cache.guard_failed" in
@@ -319,7 +333,7 @@ let test_retired_options_share_cache () =
     match R.parse s with
     | Ok { R.request = R.Solve spec; _ } -> (
       match R.resolve spec.R.source with
-      | Ok inst -> Server.solve_fingerprint t spec inst
+      | Ok inst -> Server.Fingerprint.instance inst spec.R.options
       | Error e -> Alcotest.fail e)
     | _ -> Alcotest.fail ("not a solve request: " ^ s)
   in
@@ -452,6 +466,7 @@ let () =
         [
           Alcotest.test_case "solve, cache, no_cache" `Quick test_solve_and_cache;
           Alcotest.test_case "bad_request keeps serving" `Quick test_bad_request_error;
+          Alcotest.test_case "retired budget refused" `Quick test_budget_refused;
           Alcotest.test_case "deadline_expired" `Quick test_deadline_expired;
           Alcotest.test_case "internal error isolated" `Quick test_internal_error_isolated;
           Alcotest.test_case "shutdown drains" `Quick test_shutting_down;

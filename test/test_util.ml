@@ -43,3 +43,12 @@ let truth_table mgr lit =
   List.init (1 lsl n) (fun code ->
       let bits = Array.init n (fun i -> (code lsr i) land 1 = 1) in
       Aig.eval mgr bits lit)
+
+(* A resolution proof replays to its empty-clause root under the strict
+   standalone checker, with no RUP salvage.  [leaf_ok] defaults to
+   admitting every leaf: the callers check derivations, not the clause
+   set. *)
+let proof_valid ?(leaf_ok = fun _ -> true) proof =
+  match Cert.Checker.check_proof ~rup_fallback:false ~leaf_ok proof with
+  | Cert.Checker.Valid, _ -> true
+  | Cert.Checker.Invalid _, _ -> false
