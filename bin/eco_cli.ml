@@ -614,9 +614,18 @@ let () =
       [ solve_cmd; gen_cmd; suite_cmd; batch_cmd; serve_cmd; client_cmd ]
   in
   (* All run functions return their exit code and report errors as
-     one-line diagnostics; cmdliner's own parse errors map to 2. *)
+     one-line diagnostics; cmdliner's own parse errors map to 2, and of
+     its message (the diagnostic, a usage line and a "Try ..." hint) only
+     the diagnostic is printed. *)
+  let err = Buffer.create 256 in
+  let err_fmt = Format.formatter_of_buffer err in
   exit
-    (match Cmd.eval_value group with
+    (match Cmd.eval_value ~err:err_fmt group with
     | Ok (`Ok code) -> code
     | Ok (`Help | `Version) -> 0
-    | Error (`Parse | `Term | `Exn) -> 2)
+    | Error (`Parse | `Term | `Exn) ->
+      Format.pp_print_flush err_fmt ();
+      (match String.split_on_char '\n' (Buffer.contents err) with
+      | first :: _ when first <> "" -> prerr_endline first
+      | _ -> ());
+      2)

@@ -12,10 +12,6 @@ let check_budget = 40_000
 (* Branch-and-bound nodes per hitting-set proposal, then greedy. *)
 let hs_max_nodes = 200_000
 
-(* Freed-signal count up to which a check expands [forall] explicitly;
-   larger sets go through the CEGAR 2QBF solver. *)
-let forall_limit = 8
-
 type result = {
   targets : string list;
   cost : int;
@@ -101,48 +97,9 @@ let signal_anchor mgr ~sims ~spec_lits =
       | Cec.Equivalent -> true
       | Cec.Counterexample _ | Cec.Undecided -> false)
 
-(* {2 Rectifiability checks} *)
-
-(* "Is freeing [frees] enough to make [phi] unsatisfiable for some choice
-   of the freed values at every input?" — expression (1) with the
-   proposed cut in the role of the target inputs.  Small sets expand the
-   universal quantifier explicitly and ask one SAT query; larger ones go
-   through the CEGAR 2QBF solver.  An expired deadline short-circuits to
-   [`Unknown] so a slow iteration cannot overrun the overall budget by
-   more than one check. *)
-let sufficient mgr ~pi_lits ~checks ~deadline phi frees =
-  if Deadline.expired deadline then `Unknown
-  else
-  let support = Aig.support mgr [ phi ] in
-  let in_support =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun id -> Hashtbl.replace tbl id ()) support;
-    fun l -> Hashtbl.mem tbl (Aig.node_of l)
-  in
-  let frees = List.filter in_support frees in
-  incr checks;
-  Telemetry.Counter.incr tc_checks;
-  if List.length frees <= forall_limit then begin
-    let quantified = List.fold_left (fun acc v -> Aig.forall mgr ~var:v acc) phi frees in
-    match Cec.check_lit ~budget:check_budget mgr quantified with
-    | Cec.Equivalent -> `Yes
-    | Cec.Counterexample _ -> `No
-    | Cec.Undecided -> `Unknown
-  end
-  else begin
-    let answer, _stats =
-      Qbf.Qbf2.solve mgr ~phi ~exists_inputs:pi_lits ~forall_inputs:frees
-        ~budget:check_budget
-    in
-    match answer with
-    | Qbf.Qbf2.Unsat _ -> `Yes
-    | Qbf.Qbf2.Sat _ -> `No
-    | Qbf.Qbf2.Unknown -> `Unknown
-  end
-
 (* {2 The search} *)
 
-let run ?(config = default_config) ~impl ~spec ~weights () =
+let run ?(config = default_config) ?(check_budget = check_budget) ~impl ~spec ~weights () =
   Telemetry.with_phase "discover" @@ fun () ->
   Telemetry.Counter.incr tc_runs;
   let t0 = Unix.gettimeofday () in
@@ -161,7 +118,6 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
   in
   let impl_lit o = Hashtbl.find conv_impl.Netlist.Convert.lit_of_name o in
   let spec_lit o = Hashtbl.find conv_spec.Netlist.Convert.lit_of_name o in
-  let pi_lits = List.map impl_lit (Netlist.inputs impl) in
   let sims = simulate_rounds mgr in
   let anchored, mismatched =
     anchor_outputs mgr ~sims ~impl_lit ~spec_lit (Netlist.outputs impl)
@@ -233,6 +189,10 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
     let index_of = Hashtbl.create n_cand in
     Array.iteri (fun i name -> Hashtbl.replace index_of name i) cand;
     let hs_weights = Array.map (Netlist.Weights.cost weights) cand in
+    (* Every rectifiability check of the search — expression (1) with a
+       proposed cut in the role of the target inputs — goes to one
+       incremental oracle. *)
+    let oracle = Rectify.create mgr ~impl ~impl_lit ~spec_lit ~mismatched ~candidates:cand in
     (* Candidates inside one output's cone, as hitting-set element
        indices. *)
     let cone_members =
@@ -262,6 +222,17 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
     let minimum = ref true in
     let found = ref None in
     let all_indices = List.init n_cand Fun.id in
+    (* An expired deadline short-circuits a check to [`Unknown], so a
+       slow iteration cannot overrun the overall budget by more than
+       one check. *)
+    let check ask =
+      if Deadline.expired deadline then `Unknown
+      else begin
+        incr checks;
+        Telemetry.Counter.incr tc_checks;
+        ask ()
+      end
+    in
     while !found = None do
       incr iterations;
       Telemetry.Counter.incr tc_iterations;
@@ -291,24 +262,13 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
       let in_s = Array.make n_cand false in
       List.iter (fun i -> in_s.(i) <- true) s_indices;
       let s_names = List.filter (fun n -> in_s.(Hashtbl.find index_of n)) candidates in
-      (* Re-convert the implementation with the proposal cut into fresh
-         free inputs; structural hashing keeps the repeated conversions
-         cheap inside the shared manager. *)
-      let conv_cut =
-        Netlist.Convert.to_aig ~cut:s_names ~mgr
-          ~pi_map:conv_impl.Netlist.Convert.lit_of_name impl
-      in
-      let cut_lit o = Hashtbl.find conv_cut.Netlist.Convert.lit_of_name o in
-      let frees = List.map snd conv_cut.Netlist.Convert.target_inputs in
-      let check phi = sufficient mgr ~pi_lits ~checks ~deadline phi frees in
       (* Per-cone checks first: their failures yield precise refinement
          clauses (the cone's candidates outside S). *)
       let refinements = ref [] in
       if not give_up then
         List.iter
           (fun (o, members) ->
-            let phi = Aig.xor_ mgr (cut_lit o) (spec_lit o) in
-            match check phi with
+            match check (fun () -> Rectify.cone oracle ~budget:check_budget o in_s) with
             | `Yes -> ()
             | (`No | `Unknown) as verdict -> (
               (* An [`Unknown] clause is a heuristic, not a certificate:
@@ -328,16 +288,7 @@ let run ?(config = default_config) ~impl ~spec ~weights () =
       else begin
         (* Joint check: all mismatched outputs plus any anchored output
            the freed signals reach must agree simultaneously. *)
-        let affected =
-          let reached = Netlist.outputs_reached_by impl s_names in
-          let mis = Hashtbl.create 16 in
-          List.iter (fun o -> Hashtbl.replace mis o ()) mismatched;
-          mismatched @ List.filter (fun o -> not (Hashtbl.mem mis o)) reached
-        in
-        let phi =
-          Aig.or_list mgr (List.map (fun o -> Aig.xor_ mgr (cut_lit o) (spec_lit o)) affected)
-        in
-        match check phi with
+        match check (fun () -> Rectify.joint oracle ~budget:check_budget in_s) with
         | `Yes -> found := Some s_names
         | (`No | `Unknown) when give_up ->
           (* Out of budget: return the safety-valve set anyway — the

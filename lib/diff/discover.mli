@@ -18,14 +18,18 @@
        implicit-hitting-set loop (the {!Hitting_set} branch-and-bound
        under accumulated refinement clauses, mirroring [Eco.Sat_prune])
        proposes minimum-weight candidate sets; each proposal is vetted by
-       a SAT rectifiability check — the freed signals are universally
-       quantified out of the per-output (and then the joint) miter, and
-       an unsatisfiable result means "for every input there exist values
-       of the freed signals making old ≡ new", i.e. the set is
-       sufficient (expression (1) of the paper, with the discovered set
-       in the role of the target inputs [n]).  Insufficiency of a
-       proposal yields a new refinement clause over the corresponding
-       output cone, and the loop repeats.}}
+       a rectifiability check on the per-output (and then the joint)
+       miter: "for every input are there values of the freed signals
+       making old ≡ new?", i.e. is the set sufficient (expression (1) of
+       the paper, with the discovered set in the role of the target
+       inputs [n]).  One {!Rectify} oracle answers every check of a run:
+       a verifier holds the implementation converted once with every
+       candidate relaxed behind an activation input, so a proposal is an
+       assumption set, and a synthesis solver per miter expands the
+       universal over the freed values one counterexample at a time,
+       keeping its copies from one proposal to the next.  Insufficiency
+       of a proposal yields a new refinement clause over the
+       corresponding output cone, and the loop repeats.}}
 
     The returned set is verified-sufficient whenever [minimum] is [true];
     it is additionally minimum-weight over the candidate pool under the
@@ -49,10 +53,9 @@ type config = {
 
 val default_config : config
 (** 400 iterations, 120 s.  The other limits are constants: 8
-    simulation rounds for anchoring, 20,000 conflicts per anchoring query
-    and 40,000 per rectifiability check, 200,000 branch-and-bound nodes
-    per proposal (then greedy), and explicit [forall] expansion up to 8
-    freed signals (larger sets go through the CEGAR 2QBF solver). *)
+    simulation rounds for anchoring, 20,000 conflicts per anchoring query,
+    40,000 per rectifiability check (summed over the check's solves) and
+    200,000 branch-and-bound nodes per proposal (then greedy). *)
 
 type result = {
   targets : string list;  (** discovered cut set, topological order *)
@@ -61,7 +64,7 @@ type result = {
   mismatched : string list;  (** outputs needing rectification *)
   candidates : int;  (** candidate cut points considered *)
   iterations : int;  (** hitting-set proposals examined *)
-  checks : int;  (** rectifiability SAT/2QBF checks *)
+  checks : int;  (** rectifiability checks asked of the oracle *)
   minimum : bool;
       (** the set is verified sufficient and minimum-weight over the
           candidate pool (no fallback, budget exhaustion or coarse joint
@@ -71,13 +74,16 @@ type result = {
 
 val run :
   ?config:config ->
+  ?check_budget:int ->
   impl:Netlist.t ->
   spec:Netlist.t ->
   weights:Netlist.Weights.weights ->
   unit ->
   result
 (** Discovers a target set.  [targets = []] means the netlists are already
-    equivalent (every output anchored).  Raises [Failure] when the
+    equivalent (every output anchored).  [check_budget] (default
+    40,000) caps the conflicts of one rectifiability check; a check that
+    hits it is [`Unknown], which clears [minimum].  Raises [Failure] when the
     mismatch cannot be rectified by freeing internal implementation
     signals (a mismatched output is driven directly by a primary
     input). *)

@@ -135,4 +135,9 @@ module Convert : sig
 
   val of_aig : Aig.t -> prefix:string -> t
   (** Rebuilds a netlist view of an AIG (AND/NOT structure). *)
+
+  val reduce_gate : Aig.t -> gate -> Aig.lit list -> Aig.lit
+  (** The literal of one gate over its fanins' literals, as {!to_aig}
+      builds it.  Raises [Invalid_argument] for [Input] and for a [Buf],
+      [Not] or [Mux] with the wrong fanin count. *)
 end

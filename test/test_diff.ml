@@ -107,6 +107,140 @@ let test_weighted_cut () =
   Alcotest.(check (list string)) "cheapest cut wins" [ "y" ] r.Diff.Discover.targets;
   Alcotest.(check int) "cost" 1 r.Diff.Discover.cost
 
+(* {2 The rectifiability oracle against explicit expansion} *)
+
+(* One netlist pair in one manager, as discovery converts it. *)
+type converted = {
+  impl : Netlist.t;
+  spec : Netlist.t;
+  mgr : Aig.t;
+  impl_lit : string -> Aig.lit;
+  spec_lit : string -> Aig.lit;
+  mismatched : string list;
+}
+
+let convert ~impl ~spec =
+  let conv_impl = Netlist.Convert.to_aig impl in
+  let mgr = conv_impl.Netlist.Convert.mgr in
+  let conv_spec =
+    Netlist.Convert.to_aig ~mgr ~pi_map:conv_impl.Netlist.Convert.lit_of_name spec
+  in
+  let impl_lit = Hashtbl.find conv_impl.Netlist.Convert.lit_of_name in
+  let spec_lit = Hashtbl.find conv_spec.Netlist.Convert.lit_of_name in
+  let mismatched =
+    List.filter
+      (fun o -> Cec.check_lit mgr (Aig.xor_ mgr (impl_lit o) (spec_lit o)) <> Cec.Equivalent)
+      (Netlist.outputs impl)
+  in
+  { impl; spec; mgr; impl_lit; spec_lit; mismatched }
+
+(* The reference: cut [freed] open in a fresh conversion, quantify every
+   freed signal out of the miter over [outputs] explicitly, and ask one
+   CEC query. *)
+let expanded_verdict c freed outputs =
+  let conv_impl = Netlist.Convert.to_aig ~cut:freed c.impl in
+  let mgr = conv_impl.Netlist.Convert.mgr in
+  let conv_spec =
+    Netlist.Convert.to_aig ~mgr ~pi_map:conv_impl.Netlist.Convert.lit_of_name c.spec
+  in
+  let lit conv o = Hashtbl.find conv.Netlist.Convert.lit_of_name o in
+  let phi =
+    Aig.or_list mgr (List.map (fun o -> Aig.xor_ mgr (lit conv_impl o) (lit conv_spec o)) outputs)
+  in
+  let quantified =
+    List.fold_left
+      (fun acc (_, v) -> Aig.forall mgr ~var:v acc)
+      phi conv_impl.Netlist.Convert.target_inputs
+  in
+  match Cec.check_lit mgr quantified with
+  | Cec.Equivalent -> `Yes
+  | Cec.Counterexample _ -> `No
+  | Cec.Undecided -> `Unknown
+
+let verdict_name = function `Yes -> "yes" | `No -> "no" | `Unknown -> "unknown"
+
+(* Random pairs from lib/gen, proposals of 1-10 freed signals (both sides
+   of the old eight-signal switch between explicit expansion and 2QBF).
+   One oracle answers every proposal of a pair, so the copies and
+   recalled verdicts it carries between proposals are under test too. *)
+let test_oracle_vs_expansion () =
+  let compared = ref 0 and sufficient = ref 0 in
+  for seed = 1 to 12 do
+    let base = Gen.Circuits.random_dag ~seed ~inputs:6 ~gates:26 ~outputs:4 () in
+    let rand = Random.State.make [| seed |] in
+    let targets = Gen.Mutate.pick_targets ~rand base 2 in
+    let spec = Gen.Mutate.derive_spec ~rand ~restructure:(seed mod 2 = 0) base ~targets in
+    let c = convert ~impl:base ~spec in
+    if c.mismatched <> [] then begin
+      let candidates =
+        List.filter
+          (fun name ->
+            match (Netlist.node base name).Netlist.gate with
+            | Netlist.Input | Netlist.Const0 | Netlist.Const1 -> false
+            | _ -> true)
+          (Netlist.topological_order base)
+        |> Array.of_list
+      in
+      let n = Array.length candidates in
+      let oracle =
+        Diff.Rectify.create c.mgr ~impl:base ~impl_lit:c.impl_lit ~spec_lit:c.spec_lit
+          ~mismatched:c.mismatched ~candidates
+      in
+      for round = 1 to 20 do
+        let size = 1 + ((seed + round) mod 10) in
+        let freed = Array.make n false in
+        while Array.fold_left (fun k b -> if b then k + 1 else k) 0 freed < min size n do
+          freed.(Random.State.int rand n) <- true
+        done;
+        let names = List.filteri (fun i _ -> freed.(i)) (Array.to_list candidates) in
+        let agree what got expected =
+          incr compared;
+          if got = `Yes then incr sufficient;
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d round %d %s [%s]" seed round what (String.concat "," names))
+            (verdict_name expected) (verdict_name got)
+        in
+        List.iter
+          (fun o ->
+            agree o
+              (Diff.Rectify.cone oracle ~budget:1_000_000 o freed)
+              (expanded_verdict c names [ o ]))
+          c.mismatched;
+        let reached = Netlist.outputs_reached_by base names in
+        let affected =
+          c.mismatched @ List.filter (fun o -> not (List.mem o c.mismatched)) reached
+        in
+        agree "joint"
+          (Diff.Rectify.joint oracle ~budget:1_000_000 freed)
+          (expanded_verdict c names affected)
+      done
+    end
+  done;
+  (* Both verdicts must actually occur for the comparison to mean much. *)
+  Alcotest.(check bool) "compared many checks" true (!compared > 200);
+  Alcotest.(check bool) "some sufficient" true (!sufficient > 0);
+  Alcotest.(check bool) "some insufficient" true (!sufficient < !compared)
+
+(* A conflict cap too small for the checks turns verdicts into
+   [`Unknown], and the run must then not claim a minimum. *)
+let test_conflict_cap () =
+  let blind, _ = Gen.Suite.instantiate_blind (Gen.Suite.find "unit3") in
+  let run ?check_budget () =
+    Diff.Discover.run ?check_budget ~impl:blind.Eco.Instance.impl ~spec:blind.Eco.Instance.spec
+      ~weights:blind.Eco.Instance.weights ()
+  in
+  Alcotest.(check bool) "minimum at the default cap" true (run ()).Diff.Discover.minimum;
+  let before = Telemetry.local_snapshot () in
+  let capped = run ~check_budget:1 () in
+  let unknown =
+    Telemetry.diff before (Telemetry.local_snapshot ())
+    |> List.assoc_opt "sat.result.unknown"
+    |> Option.value ~default:0
+  in
+  Alcotest.(check bool) "some solve ran out of conflicts" true (unknown > 0);
+  Alcotest.(check bool) "no minimum under a one-conflict cap" false capped.Diff.Discover.minimum;
+  Alcotest.(check bool) "still proposes targets" true (capped.Diff.Discover.targets <> [])
+
 let suite_units names = List.map Gen.Suite.find names
 
 (* {2 Discovery-quality regression (fixed seeds, blind instances)} *)
@@ -181,6 +315,8 @@ let () =
           Alcotest.test_case "already equivalent" `Quick test_already_equivalent;
           Alcotest.test_case "deep cut" `Quick test_deep_cut;
           Alcotest.test_case "weighted cut" `Quick test_weighted_cut;
+          Alcotest.test_case "oracle matches explicit expansion" `Quick test_oracle_vs_expansion;
+          Alcotest.test_case "conflict cap clears minimum" `Quick test_conflict_cap;
         ] );
       ("blind suite", [ Alcotest.test_case "fixed seeds" `Slow test_blind_suite ]);
       ("window", [ Alcotest.test_case "PI order determinism" `Quick test_window_pi_order ]);
