@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks of the computational kernels behind each
    experiment: SAT solving on miter CNFs, a small CEC query, one support
-   search of the sat_heavy workload, the exact hitting set, AIG
+   search of the sat_heavy workload, a request's fixed costs (instance
+   set-up, window, fingerprint), the exact hitting set, AIG
    strashing, Tseitin encoding, cube enumeration, max-flow, and
    minimize_assumptions. *)
 
@@ -46,6 +47,25 @@ let support_search_test () =
          match Eco.Support.with_min_assume ~last_gasp:false tc with
          | Some _ -> ()
          | None -> failwith "expected a support"))
+
+(* Three fixed costs every server request pays before any search: a
+   unit-name source is instantiated (hits included), the fingerprint
+   prints both netlists, and each solve computes its window. *)
+let instantiate_test () =
+  let spec = Gen.Suite.find "unit5" in
+  Test.make ~name:"gen: instantiate unit5"
+    (Staged.stage (fun () -> ignore (Gen.Suite.instantiate spec)))
+
+let window_test () =
+  let inst = Gen.Suite.instantiate (Gen.Suite.find "unit5") in
+  Test.make ~name:"window: compute unit5"
+    (Staged.stage (fun () -> ignore (Eco.Window.compute inst)))
+
+let fingerprint_test () =
+  let inst = Gen.Suite.instantiate (Gen.Suite.find "unit5") in
+  Test.make ~name:"server: fingerprint unit5"
+    (Staged.stage (fun () ->
+         ignore (Server.Fingerprint.instance inst Server.Request.default_options)))
 
 let hs_minimum_test () =
   (* A clause set the size of unit20's exact search: 2,382 divisors and
@@ -141,6 +161,9 @@ let run () =
         sat_miter_test ();
         cec_small_query_test ();
         support_search_test ();
+        instantiate_test ();
+        window_test ();
+        fingerprint_test ();
         hs_minimum_test ();
         strash_test ();
         cnf_test ();

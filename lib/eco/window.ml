@@ -21,22 +21,22 @@ let compute (inst : Instance.t) =
      declare the same input set (Instance.make validates), so filtering
      the implementation's list covers the union. *)
   let window_pis = List.filter (Hashtbl.mem pi_set) (Netlist.inputs impl) in
+  (* A node's support lies within the window unless an input outside it
+     is in its TFI, i.e. unless the node is in the TFO of those inputs:
+     one walk for every node, not a TFI walk per node. *)
+  let escapes =
+    Netlist.tfo impl (List.filter (fun p -> not (Hashtbl.mem pi_set p)) (Netlist.inputs impl))
+  in
   (* Candidate divisors: not in the targets' TFO (no combinational loop
      through the patch), not a constant, support within the window. *)
   let divisors =
     List.filter_map
       (fun name ->
-        let n = Netlist.node impl name in
-        match n.Netlist.gate with
+        match (Netlist.node impl name).Netlist.gate with
         | Netlist.Const0 | Netlist.Const1 -> None
         | _ ->
-          if Hashtbl.mem tfo name then None
-          else begin
-            let sup = Netlist.support_of impl [ name ] in
-            if List.for_all (Hashtbl.mem pi_set) sup then
-              Some (name, Netlist.Weights.cost inst.Instance.weights name)
-            else None
-          end)
+          if Hashtbl.mem tfo name || Hashtbl.mem escapes name then None
+          else Some (name, Netlist.Weights.cost inst.Instance.weights name))
       (Netlist.topological_order impl)
   in
   let divisors =

@@ -13,18 +13,9 @@ let pick_targets ~rand netlist k =
         | _ -> true)
       (Netlist.topological_order netlist)
   in
-  (* Usable target: reaches an output (and so leaves divisors visible). *)
-  let reaches_po =
-    let memo = Hashtbl.create 64 in
-    fun cand ->
-      match Hashtbl.find_opt memo cand with
-      | Some r -> r
-      | None ->
-        let tfo = Netlist.tfo netlist [ cand ] in
-        let r = List.exists (Hashtbl.mem tfo) (Netlist.outputs netlist) in
-        Hashtbl.replace memo cand r;
-        r
-  in
+  (* Usable target: reaches an output (and so leaves divisors visible),
+     i.e. lies in the outputs' TFI, one walk for every candidate. *)
+  let reaches_po = Hashtbl.mem (Netlist.tfi netlist (Netlist.outputs netlist)) in
   let eligible = List.filter reaches_po gates in
   let avail = List.length eligible in
   if avail = 0 && k > 0 then failwith "Mutate.pick_targets: no eligible target signals";

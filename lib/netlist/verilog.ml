@@ -18,8 +18,9 @@ let to_string ?(name = "top") t =
   Buffer.add_string buf (Printf.sprintf "module %s (%s);\n" name (String.concat ", " (ins @ outs)));
   if ins <> [] then Buffer.add_string buf (Printf.sprintf "  input %s;\n" (String.concat ", " ins));
   if outs <> [] then Buffer.add_string buf (Printf.sprintf "  output %s;\n" (String.concat ", " outs));
-  let is_io n = List.mem n ins || List.mem n outs in
-  let wires = List.filter (fun n -> not (is_io n)) (Base.topological_order t) in
+  let io = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace io n ()) (ins @ outs);
+  let wires = List.filter (fun n -> not (Hashtbl.mem io n)) (Base.topological_order t) in
   if wires <> [] then Buffer.add_string buf (Printf.sprintf "  wire %s;\n" (String.concat ", " wires));
   let gate_idx = ref 0 in
   List.iter

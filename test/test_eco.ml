@@ -75,6 +75,92 @@ let test_window () =
   Alcotest.(check bool) "target excluded" false (List.mem "w" div_names);
   Alcotest.(check bool) "tfo excluded" false (List.mem "y" div_names)
 
+(* The divisor rule as [Window.compute] once ran it: a fresh TFI walk per
+   node, whose support must lie within the PIs feeding the window's
+   outputs on either side.  The oracle for the one-pass marking. *)
+let reference_divisors (inst : Eco.Instance.t) =
+  let impl = inst.Eco.Instance.impl in
+  let tfo = Netlist.tfo impl inst.Eco.Instance.targets in
+  let window_pos = List.filter (Hashtbl.mem tfo) (Netlist.outputs impl) in
+  let pi_set = Hashtbl.create 64 in
+  List.iter
+    (fun p -> Hashtbl.replace pi_set p ())
+    (Netlist.support_of impl window_pos @ Netlist.support_of inst.Eco.Instance.spec window_pos);
+  List.filter_map
+    (fun name ->
+      match (Netlist.node impl name).Netlist.gate with
+      | Netlist.Const0 | Netlist.Const1 -> None
+      | _ ->
+        if Hashtbl.mem tfo name then None
+        else if List.for_all (Hashtbl.mem pi_set) (Netlist.support_of impl [ name ]) then
+          Some (name, Netlist.Weights.cost inst.Eco.Instance.weights name)
+        else None)
+    (Netlist.topological_order impl)
+  |> List.stable_sort (fun (_, c1) (_, c2) -> compare c1 c2)
+
+let check_divisors label inst =
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": divisors") (reference_divisors inst) (Eco.Window.compute inst).Eco.Window.divisors
+
+let test_window_divisors_suite () =
+  List.iter
+    (fun spec -> check_divisors spec.Gen.Suite.u_name (Gen.Suite.instantiate spec))
+    Gen.Suite.all
+
+(* The window's inputs come from both sides: here only the specification
+   reads c under y, so c, and z = !c beside it, are divisors. *)
+let test_window_divisors_spec_inputs () =
+  let impl =
+    Netlist.create
+      [
+        n "a" Netlist.Input [];
+        n "b" Netlist.Input [];
+        n "c" Netlist.Input [];
+        n "d" Netlist.Input [];
+        n "w" Netlist.And [ "a"; "b" ];
+        n "y" Netlist.Not [ "w" ];
+        n "z" Netlist.Not [ "c" ];
+        n "v" Netlist.And [ "c"; "d" ];
+      ]
+      ~outputs:[ "y"; "z"; "v" ]
+  in
+  let spec =
+    Netlist.create
+      [
+        n "a" Netlist.Input [];
+        n "b" Netlist.Input [];
+        n "c" Netlist.Input [];
+        n "d" Netlist.Input [];
+        n "y" Netlist.Xor [ "a"; "c" ];
+        n "z" Netlist.Not [ "c" ];
+        n "v" Netlist.And [ "c"; "d" ];
+      ]
+      ~outputs:[ "y"; "z"; "v" ]
+  in
+  let inst =
+    Eco.Instance.make ~name:"spec-inputs" ~impl ~spec ~targets:[ "w" ]
+      ~weights:(Hashtbl.create 1) ()
+  in
+  check_divisors "spec-only inputs" inst;
+  Alcotest.(check (list string))
+    "divisors" [ "a"; "b"; "c"; "z" ]
+    (List.map fst (Eco.Window.compute inst).Eco.Window.divisors)
+
+(* Random DAGs, including specs whose replacement cones widen the window
+   beyond the implementation's own support of the affected outputs. *)
+let test_window_divisors_random () =
+  for seed = 1 to 30 do
+    let impl =
+      Gen.Circuits.random_dag ~seed ~inputs:(4 + (seed mod 9)) ~gates:(30 + (7 * seed))
+        ~outputs:(2 + (seed mod 5)) ()
+    in
+    let inst =
+      Gen.Mutate.make_instance ~seed ~style:(Gen.Mutate.New_cone (2 + (seed mod 5)))
+        ~n_targets:(1 + (seed mod 3)) impl
+    in
+    check_divisors (Printf.sprintf "random dag %d" seed) inst
+  done
+
 let test_patch_function_is_xor () =
   (* The cheapest support is {a, b} and the patch must compute a ^ b. *)
   let inst = tiny_instance () in
@@ -577,6 +663,10 @@ let () =
           Alcotest.test_case "tiny instance, all methods" `Quick test_tiny_all_methods;
           Alcotest.test_case "tiny structural" `Quick test_tiny_structural;
           Alcotest.test_case "window computation" `Quick test_window;
+          Alcotest.test_case "window divisors: suite units" `Quick test_window_divisors_suite;
+          Alcotest.test_case "window divisors: random dags" `Quick test_window_divisors_random;
+          Alcotest.test_case "window divisors: spec-only inputs" `Quick
+            test_window_divisors_spec_inputs;
           Alcotest.test_case "patch is the xor" `Quick test_patch_function_is_xor;
           Alcotest.test_case "weights steer support" `Quick test_weights_steer_support;
           Alcotest.test_case "multi target" `Slow test_multi_target;

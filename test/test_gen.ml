@@ -231,6 +231,68 @@ let test_pick_targets_clamp () =
       in
       ignore (Gen.Mutate.pick_targets ~rand:(Random.State.make [| 7 |]) inputs_only 1))
 
+(* Target picking asks whether a node reaches an output by membership in
+   the outputs' TFI.  The oracle is the check it replaced, one
+   transitive-fanout walk per node.  Each walk rebuilds the fanout map, so
+   on circuits of more than 1,000 nodes (unit20 alone) one node in eight
+   is checked. *)
+let test_reaches_output_matches_tfo () =
+  List.iter
+    (fun spec ->
+      let t = Gen.Suite.base_circuit spec in
+      let table = Netlist.tfi t (Netlist.outputs t) in
+      let stride = if Netlist.num_nodes t > 1_000 then 8 else 1 in
+      List.iteri
+        (fun i name ->
+          if i mod stride = 0 then begin
+            let expected = Netlist.outputs_reached_by t [ name ] <> [] in
+            if Hashtbl.mem table name <> expected then
+              Alcotest.failf "%s: %s reaches an output: table %b, tfo %b" spec.Gen.Suite.u_name
+                name (not expected) expected
+          end)
+        (Netlist.topological_order t))
+    Gen.Suite.all
+
+(* The planted targets of every suite unit.  Every committed reference row
+   (BENCH_table1.json, BENCH_discovery.json, perfbench's service
+   reference) was solved for these targets, so a drift in the generator
+   fails here first. *)
+let planted_targets =
+  [
+    ("unit1", [ "o0" ]);
+    ("unit2", [ "n1" ]);
+    ("unit3", [ "n388" ]);
+    ("unit4", [ "n69" ]);
+    ("unit5", [ "n524"; "n569" ]);
+    ("unit6", [ "n484"; "n522" ]);
+    ("unit7", [ "n230" ]);
+    ("unit8", [ "s1" ]);
+    ("unit9", [ "n38"; "n163"; "n178"; "o21" ]);
+    ("unit10", [ "n24"; "n29" ]);
+    ("unit11", [ "y3"; "n57"; "y51"; "n60"; "y56"; "y59"; "y60"; "y63" ]);
+    ("unit12", [ "n36" ]);
+    ("unit13", [ "o0" ]);
+    ( "unit14",
+      [ "n54"; "n84"; "n115"; "n161"; "n332"; "n339"; "n342"; "n350"; "n389"; "n391"; "o3";
+        "o8" ] );
+    ("unit15", [ "n184" ]);
+    ("unit16", [ "n212"; "n313" ]);
+    ("unit17", [ "n188"; "n578"; "n583"; "n592"; "n630"; "o8"; "o9"; "o15" ]);
+    ("unit18", [ "n273" ]);
+    ("unit19", [ "n110"; "n146"; "n388"; "n419" ]);
+    ("unit20", [ "n354"; "n1976"; "n2022"; "o137" ]);
+  ]
+
+let test_suite_planted_targets () =
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check (list string))
+        (name ^ " targets")
+        expected
+        (Gen.Suite.instantiate (Gen.Suite.find name)).Eco.Instance.targets)
+    planted_targets;
+  Alcotest.(check int) "every unit pinned" (List.length Gen.Suite.all) (List.length planted_targets)
+
 let test_suite_well_formed () =
   Alcotest.(check int) "twenty units" 20 (List.length Gen.Suite.all);
   List.iteri
@@ -279,10 +341,13 @@ let () =
           Alcotest.test_case "derive_spec interface" `Quick test_derive_spec_changes_function;
           Alcotest.test_case "pick_targets" `Quick test_pick_targets_properties;
           Alcotest.test_case "pick_targets clamp" `Quick test_pick_targets_clamp;
+          Alcotest.test_case "outputs' TFI matches per-node TFO" `Quick
+            test_reaches_output_matches_tfo;
         ] );
       ( "suite",
         [
           Alcotest.test_case "well formed" `Quick test_suite_well_formed;
           Alcotest.test_case "instances valid" `Quick test_suite_instances_valid;
+          Alcotest.test_case "planted targets" `Quick test_suite_planted_targets;
         ] );
     ]

@@ -117,6 +117,101 @@ let test_verilog_parse_forms () =
   Alcotest.check_raises "unsupported construct" (Failure "Verilog: unsupported construct assign")
     (fun () -> ignore (Netlist.Verilog.of_string bad))
 
+(* The printer as it was when each node's I/O test was a [List.mem] over
+   the input and output lists: the oracle for the byte-identity checks. *)
+let reference_verilog ?(name = "top") t =
+  let keyword = function
+    | Netlist.And -> "and"
+    | Netlist.Or -> "or"
+    | Netlist.Nand -> "nand"
+    | Netlist.Nor -> "nor"
+    | Netlist.Xor -> "xor"
+    | Netlist.Xnor -> "xnor"
+    | Netlist.Not -> "not"
+    | Netlist.Buf -> "buf"
+    | Netlist.Input | Netlist.Const0 | Netlist.Const1 | Netlist.Mux -> assert false
+  in
+  let buf = Buffer.create 4096 in
+  let ins = Netlist.inputs t and outs = Netlist.outputs t in
+  Buffer.add_string buf (Printf.sprintf "module %s (%s);\n" name (String.concat ", " (ins @ outs)));
+  if ins <> [] then Buffer.add_string buf (Printf.sprintf "  input %s;\n" (String.concat ", " ins));
+  if outs <> [] then
+    Buffer.add_string buf (Printf.sprintf "  output %s;\n" (String.concat ", " outs));
+  let is_io n = List.mem n ins || List.mem n outs in
+  let wires = List.filter (fun n -> not (is_io n)) (Netlist.topological_order t) in
+  if wires <> [] then
+    Buffer.add_string buf (Printf.sprintf "  wire %s;\n" (String.concat ", " wires));
+  let gate_idx = ref 0 in
+  List.iter
+    (fun nm ->
+      let n = Netlist.node t nm in
+      incr gate_idx;
+      match n.Netlist.gate with
+      | Netlist.Input -> ()
+      | Netlist.Const0 ->
+        Buffer.add_string buf (Printf.sprintf "  buf g%d (%s, 1'b0);\n" !gate_idx nm)
+      | Netlist.Const1 ->
+        Buffer.add_string buf (Printf.sprintf "  buf g%d (%s, 1'b1);\n" !gate_idx nm)
+      | Netlist.Mux ->
+        let s = n.Netlist.fanins.(0) and a = n.Netlist.fanins.(1) and b = n.Netlist.fanins.(2) in
+        Buffer.add_string buf (Printf.sprintf "  wire %s_sn, %s_t0, %s_t1;\n" nm nm nm);
+        Buffer.add_string buf (Printf.sprintf "  not g%d_n (%s_sn, %s);\n" !gate_idx nm s);
+        Buffer.add_string buf (Printf.sprintf "  and g%d_a (%s_t1, %s, %s);\n" !gate_idx nm s a);
+        Buffer.add_string buf
+          (Printf.sprintf "  and g%d_b (%s_t0, %s_sn, %s);\n" !gate_idx nm nm b);
+        Buffer.add_string buf (Printf.sprintf "  or g%d (%s, %s_t1, %s_t0);\n" !gate_idx nm nm nm)
+      | g ->
+        Buffer.add_string buf
+          (Printf.sprintf "  %s g%d (%s, %s);\n" (keyword g) !gate_idx nm
+             (String.concat ", " (Array.to_list n.Netlist.fanins))))
+    (Netlist.topological_order t);
+  Buffer.add_string buf "endmodule\n";
+  Buffer.contents buf
+
+(* Outputs read by other gates, an input that is also an output, a
+   constant and a mux: every branch of the printer, and a "wire" line that
+   must leave out every port. *)
+let test_verilog_ports_not_wires () =
+  let t =
+    Netlist.create
+      [
+        n "a" Netlist.Input [];
+        n "b" Netlist.Input [];
+        n "s" Netlist.Input [];
+        n "k" Netlist.Const1 [];
+        n "z" Netlist.Const0 [];
+        n "g" Netlist.And [ "a"; "b" ];
+        n "h" Netlist.Not [ "g" ];
+        n "m" Netlist.Mux [ "s"; "g"; "k" ];
+        n "w" Netlist.Nor [ "m"; "z"; "h" ];
+        n "y" Netlist.Xnor [ "w"; "a" ];
+      ]
+      ~outputs:[ "g"; "h"; "y"; "a" ]
+  in
+  let text = Netlist.Verilog.to_string ~name:"ports" t in
+  Alcotest.(check string) "same text as the reference printer"
+    (reference_verilog ~name:"ports" t) text;
+  let wire_line =
+    List.find (String.starts_with ~prefix:"  wire ") (String.split_on_char '\n' text)
+  in
+  let wires =
+    String.sub wire_line 7 (String.length wire_line - 8)
+    |> String.split_on_char ',' |> List.map String.trim |> List.sort compare
+  in
+  Alcotest.(check (list string)) "only internal signals are wires" [ "k"; "m"; "w"; "z" ] wires
+
+let test_verilog_suite_identical () =
+  List.iter
+    (fun spec ->
+      let inst = Gen.Suite.instantiate spec in
+      List.iter
+        (fun (side, nl) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" spec.Gen.Suite.u_name side)
+            (reference_verilog ~name:side nl) (Netlist.Verilog.to_string ~name:side nl))
+        [ ("impl", inst.Eco.Instance.impl); ("spec", inst.Eco.Instance.spec) ])
+    Gen.Suite.all
+
 let test_weights () =
   let w = Netlist.Weights.of_string "a 5\nw1 20\n# comment\n" in
   Alcotest.(check int) "present" 5 (Netlist.Weights.cost w "a");
@@ -208,6 +303,9 @@ let () =
           Alcotest.test_case "levels" `Quick test_levels;
           Alcotest.test_case "verilog roundtrip" `Quick test_verilog_roundtrip;
           Alcotest.test_case "verilog forms" `Quick test_verilog_parse_forms;
+          Alcotest.test_case "verilog ports are not wires" `Quick test_verilog_ports_not_wires;
+          Alcotest.test_case "verilog: suite units print as before" `Quick
+            test_verilog_suite_identical;
           Alcotest.test_case "weights" `Quick test_weights;
           Alcotest.test_case "weight distributions" `Quick test_weight_distributions;
           Alcotest.test_case "to_aig matches eval" `Quick test_to_aig_matches_eval;

@@ -345,6 +345,39 @@ let test_retired_options_share_cache () =
     (J.member "cached" r2 = Some (J.Bool true));
   Alcotest.(check string) "same result" (J.to_string (result_of r1)) (J.to_string (result_of r2))
 
+(* An uncertified solve asks its CEC queries through [Cec]'s memo, which
+   the server backs with its cone cache.  A second method on the same
+   instance re-asks queries the first one answered (the same window and
+   miter), so the cache's hit path is reached by a real solve, not only by
+   direct calls to the memo. *)
+let test_cone_cache_hits_across_methods () =
+  let t = Server.create sync_config in
+  let inst = Gen.Suite.instantiate (Gen.Suite.find "unit2") in
+  let source =
+    R.Inline
+      {
+        name = "unit2-inline";
+        impl = Netlist.Verilog.to_string inst.Eco.Instance.impl;
+        spec = Netlist.Verilog.to_string inst.Eco.Instance.spec;
+        targets = inst.Eco.Instance.targets;
+        weights = Some (Netlist.Weights.to_string inst.Eco.Instance.weights);
+      }
+  in
+  let solve method_ =
+    let options = { R.default_options with R.method_; certify = false } in
+    let r = parse_response (Server.handle_payload t (payload (R.Solve { R.source; options }))) in
+    Alcotest.(check bool) (R.method_name method_ ^ " solve ok") true (Server.Client.is_ok r);
+    Alcotest.(check bool) (R.method_name method_ ^ " not an outcome-cache hit") true
+      (J.member "cached" r = Some (J.Bool false))
+  in
+  solve Eco.Engine.Baseline;
+  let hits = cv "cache.cone.hits" in
+  solve Eco.Engine.Min_assume;
+  Alcotest.(check bool)
+    (Printf.sprintf "cone hits rise (%d -> %d)" hits (cv "cache.cone.hits"))
+    true
+    (cv "cache.cone.hits" > hits)
+
 (* {2 Live socket end-to-end} *)
 
 let connect_retry address =
@@ -472,6 +505,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutting_down;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
           Alcotest.test_case "guard catches poisoned entry" `Quick test_guard_catches_poisoned_entry;
+          Alcotest.test_case "cone cache hit by a second method" `Quick
+            test_cone_cache_hits_across_methods;
           Alcotest.test_case "retired options share the cache" `Quick
             test_retired_options_share_cache;
         ] );
