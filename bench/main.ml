@@ -26,7 +26,6 @@
                    identical to -j 1 — only wall-clock changes)
    --units U1,U2   run only the named units (table1*, discovery,
                    serve-stress)
-   --no-verify     skip the verification ladder (for quick smoke runs)
    --certify       independently certify every final SAT/UNSAT verdict
                    (models re-evaluated, UNSAT proofs replayed); prints a
                    certification summary and exits non-zero if any check
@@ -64,7 +63,6 @@ let positive flag n =
   | _ -> usage "%s expects a positive integer, got %S" flag n
 
 let () =
-  let verify = ref true in
   let certify = ref false in
   let no_cache = ref false in
   let smoke = ref false in
@@ -84,7 +82,6 @@ let () =
   in
   let rec parse = function
     | [] -> ()
-    | "--no-verify" :: rest -> verify := false; parse rest
     | "--certify" :: rest -> certify := true; parse rest
     | "--no-cache" :: rest -> no_cache := true; parse rest
     | "--smoke" :: rest -> smoke := true; parse rest
@@ -103,7 +100,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let what = Option.value !what ~default:"all" in
-  let verify = !verify and certify = !certify and jobs = !jobs in
+  let certify = !certify and jobs = !jobs in
   let json_or default = Option.value !json ~default in
   (* The experiment's own unit list, or the --units selection. *)
   let units_or default =
@@ -118,7 +115,7 @@ let () =
         names
   in
   let table1 units =
-    ignore (Table1.run ~units ~json:(json_or "BENCH_table1.json") ~jobs ~verify ~certify ());
+    ignore (Table1.run ~units ~json:(json_or "BENCH_table1.json") ~jobs ~certify ());
     if certify && Cert.summary () > 0 then exit 1
   in
   match what with

@@ -102,16 +102,14 @@ let simulate_test () =
     (Staged.stage (fun () -> ignore (Aig.simulate m words)))
 
 let patch_pipeline_test () =
-  (* One full single-target min_assume solve on a small instance: the
-     end-to-end per-unit kernel of Table 1. *)
+  (* One full single-target min_assume solve on a small instance,
+     verification included: the end-to-end per-unit kernel of Table 1. *)
   let impl = Gen.Circuits.ripple_adder 8 in
   let inst =
     Gen.Mutate.make_instance ~name:"bench" ~style:(Gen.Mutate.New_cone 4)
       ~dist:Netlist.Weights.T8 ~seed:9 ~n_targets:1 impl
   in
-  let config =
-    { (Eco.Engine.config_of_method Eco.Engine.Min_assume) with Eco.Engine.verify = false }
-  in
+  let config = Eco.Engine.config_of_method Eco.Engine.Min_assume in
   Test.make ~name:"eco: single-target solve (adder-8)"
     (Staged.stage (fun () ->
          match Eco.Engine.solve ~config inst with

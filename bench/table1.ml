@@ -28,16 +28,16 @@ let method_names = [| "w/o minimize_assumptions"; "w/ minimize_assumptions"; "SA
    option also keeps their verification budget small, so the wall clock
    stays bounded (the simulation pre-pass still guards against wrong
    patches). *)
-let config_for ?(verify = true) ?(certify = false) (spec : Gen.Suite.unit_spec) method_ =
+let config_for ?(certify = false) (spec : Gen.Suite.unit_spec) method_ =
   Server.Request.config_of_options
-    { (Server.Request.suite_options ~method_ spec) with certify; verify }
+    { (Server.Request.suite_options ~method_ spec) with certify }
 
 (* Counter deltas come from [local_snapshot]: a unit runs entirely on one
    domain, so diffing the domain-local tallies attributes exactly this
    unit's solver effort to its row even while other units run concurrently
    (and in a sequential run the diffs coincide with global-snapshot
    diffs). *)
-let run_unit ?(progress = true) ?verify ?certify (spec : Gen.Suite.unit_spec) =
+let run_unit ?(progress = true) ?certify (spec : Gen.Suite.unit_spec) =
   let inst = Gen.Suite.instantiate spec in
   let counters = Array.make (Array.length methods) [] in
   let results =
@@ -49,7 +49,7 @@ let run_unit ?(progress = true) ?verify ?certify (spec : Gen.Suite.unit_spec) =
             | Eco.Engine.Baseline -> "baseline"
             | Eco.Engine.Min_assume -> "min_assume"
             | Eco.Engine.Exact -> "exact");
-        let config = config_for ?verify ?certify spec m in
+        let config = config_for ?certify spec m in
         let before = Telemetry.local_snapshot () in
         let outcome =
           match Eco.Engine.solve ~config inst with
@@ -179,14 +179,14 @@ let failed_row (spec : Gen.Suite.unit_spec) exn =
     counters = Array.make (Array.length methods) [];
   }
 
-let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?verify ?certify () =
+let run ?(units = Gen.Suite.all) ?(json = "BENCH_table1.json") ?(jobs = 1) ?certify () =
   Printf.printf "\n=== Table 1: ICCAD'17-style suite, three configurations ===\n";
   if jobs > 1 then Printf.eprintf "  (parallel sweep: %d worker domains)\n%!" jobs;
   let rows =
     List.map2
       (fun spec -> function Ok row -> row | Error e -> failed_row spec e)
       units
-      (Pool.map ~jobs (run_unit ?verify ?certify) units)
+      (Pool.map ~jobs (run_unit ?certify) units)
   in
   print_rows rows;
   write_json json rows;

@@ -242,16 +242,13 @@ let batch_cmd =
   let method_ =
     Arg.(value & opt method_conv Eco.Engine.Min_assume & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"Support computation: baseline, min_assume (default) or exact.")
   in
-  let no_verify =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip the verification ladder.")
-  in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print merged telemetry (counter totals and per-domain-merged phase timers) after the batch.")
   in
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Independently certify every final SAT/UNSAT verdict of every unit; the batch fails if any check fails.")
   in
-  let run units jobs method_ no_verify stats certify =
+  let run units jobs method_ stats certify =
     protect @@ fun () ->
     if jobs < 1 then usage "-j expects a positive worker count";
     let specs =
@@ -267,7 +264,7 @@ let batch_cmd =
     in
     let config_for spec =
       Server.Request.config_of_options
-        { (Server.Request.suite_options ~method_ spec) with certify; verify = not no_verify }
+        { (Server.Request.suite_options ~method_ spec) with certify }
     in
     let solve_unit spec =
       let inst = Gen.Suite.instantiate spec in
@@ -313,7 +310,7 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Solve a list of benchmark units, optionally in parallel over worker domains.")
-    Term.(const run $ units $ jobs $ method_ $ no_verify $ stats $ certify)
+    Term.(const run $ units $ jobs $ method_ $ stats $ certify)
 
 (* {2 suite} *)
 
@@ -457,15 +454,7 @@ let client_cmd =
       no_cache deadline_ms stats_op shutdown_op discover_op =
     protect @@ fun () ->
     let address = parse_address socket in
-    let options =
-      {
-        Server.Request.default_options with
-        Server.Request.method_;
-        certify;
-        structural;
-        no_cache;
-      }
-    in
+    let options = { Server.Request.method_; certify; structural; no_cache } in
     let request =
       if stats_op then Server.Request.Stats
       else if shutdown_op then Server.Request.Shutdown

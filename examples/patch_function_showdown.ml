@@ -1,9 +1,8 @@
-(* Three generations of patch-function computation on the same instance
+(* Two generations of patch-function computation on the same instance
    and the same chosen support:
 
    - cube enumeration (this paper, §3.5)
    - Craig interpolation from a logged resolution proof (Wu et al. [15])
-   - BDD ISOP inside [M(0,x), !M(1,x)] (1990s-era, window PIs only)
 
    Run with: dune exec examples/patch_function_showdown.exe *)
 
@@ -41,11 +40,4 @@ let () =
     let interp = Eco.Patch_interp.compute miter ~m_i ~target ~chosen:sel.Eco.Support.indices in
     Format.printf "@.interpolation: %d proof nodes, raw interpolant %d ANDs@."
       interp.Eco.Patch_interp.proof_nodes interp.Eco.Patch_interp.raw_gates;
-    verify "  interpolant patch" interp.Eco.Patch_interp.patch;
-    (match Eco.Patch_bdd.compute miter ~m_i ~target ~window with
-    | Some bdd ->
-      Format.printf "@.BDD ISOP: %d BDD nodes, %d cubes (over %d window PIs)@."
-        bdd.Eco.Patch_bdd.bdd_nodes bdd.Eco.Patch_bdd.cubes
-        (List.length window.Eco.Window.window_pis);
-      verify "  bdd patch" bdd.Eco.Patch_bdd.patch
-    | None -> Format.printf "@.BDD ISOP: window too wide@.")
+    verify "  interpolant patch" interp.Eco.Patch_interp.patch

@@ -116,11 +116,8 @@ let and_ m a b =
   end
 
 let or_ m a b = not_ (and_ m (not_ a) (not_ b))
-let nand_ m a b = not_ (and_ m a b)
-let nor_ m a b = and_ m (not_ a) (not_ b)
 let xor_ m a b = or_ m (and_ m a (not_ b)) (and_ m (not_ a) b)
 let xnor_ m a b = not_ (xor_ m a b)
-let implies_ m a b = or_ m (not_ a) b
 let ite m c a b = or_ m (and_ m c a) (and_ m (not_ c) b)
 
 let and_list m = List.fold_left (and_ m) true_
@@ -131,7 +128,6 @@ let add_output m l =
   Sat.Vec.push m.outs l;
   i
 
-let set_output m i l = Sat.Vec.set m.outs i l
 let output m i = Sat.Vec.get m.outs i
 let outputs m = Sat.Vec.to_array m.outs
 let num_outputs m = Sat.Vec.size m.outs
@@ -292,30 +288,6 @@ let eval m bits l =
   let words = Array.map (fun b -> if b then -1L else 0L) bits in
   let values = simulate m words in
   Int64.logand (lit_value values l) 1L <> 0L
-
-let equal_graph a b =
-  num_inputs a = num_inputs b
-  && num_outputs a = num_outputs b
-  &&
-  let rec eq seen la lb =
-    if is_complemented la <> is_complemented lb then false
-    else begin
-      let na = node_of la and nb = node_of lb in
-      match Hashtbl.find_opt seen na with
-      | Some nb' -> nb' = nb
-      | None ->
-        Hashtbl.add seen na nb;
-        if is_const na then is_const nb
-        else if is_input a na then is_input b nb && a.input_idx.(na) = b.input_idx.(nb)
-        else if is_and a na && is_and b nb then begin
-          let a0, a1 = fanins a na and b0, b1 = fanins b nb in
-          eq seen a0 b0 && eq seen a1 b1
-        end
-        else false
-    end
-  in
-  let seen = Hashtbl.create 64 in
-  Array.for_all2 (fun la lb -> eq seen la lb) (outputs a) (outputs b)
 
 let pp_stats ppf m =
   Format.fprintf ppf "inputs=%d ands=%d outputs=%d nodes=%d" (num_inputs m) (num_ands m)

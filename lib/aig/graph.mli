@@ -26,11 +26,8 @@ val add_inputs : t -> int -> lit array
 val and_ : t -> lit -> lit -> lit
 val not_ : lit -> lit
 val or_ : t -> lit -> lit -> lit
-val nand_ : t -> lit -> lit -> lit
-val nor_ : t -> lit -> lit -> lit
 val xor_ : t -> lit -> lit -> lit
 val xnor_ : t -> lit -> lit -> lit
-val implies_ : t -> lit -> lit -> lit
 val ite : t -> lit -> lit -> lit -> lit
 (** [ite m c a b] is if-then-else: [c ? a : b]. *)
 
@@ -40,7 +37,6 @@ val or_list : t -> lit list -> lit
 val add_output : t -> lit -> int
 (** Registers an output; returns its index. *)
 
-val set_output : t -> int -> lit -> unit
 val output : t -> int -> lit
 val outputs : t -> lit array
 val num_outputs : t -> int
@@ -133,9 +129,5 @@ val lit_value : int64 array -> lit -> int64
 (** Value of a literal given node simulation values. *)
 
 (** {2 Miscellany} *)
-
-val equal_graph : t -> t -> bool
-(** Structural equality of the output cones (same shape, not just same
-    function). *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -3,11 +3,10 @@ type method_ = Baseline | Min_assume | Exact
 type config = {
   method_ : method_;
   force_structural : bool;
-  verify : bool;
   certify : bool; (* independently certify final SAT/UNSAT verdicts *)
 }
 
-let config_of_method m = { method_ = m; force_structural = false; verify = true; certify = false }
+let config_of_method m = { method_ = m; force_structural = false; certify = false }
 let default_config = config_of_method Min_assume
 
 (* Counted stand-ins for the paper's timeouts: conflicts per SAT call,
@@ -286,26 +285,8 @@ let structural_pipeline config (miter : Miter.t) window certificate notes =
   (* SAT sweeping after the support decisions: shrinks the reported gate
      counts without touching costs. *)
   let patches = List.map (fun p -> Patch.sweep p) patches in
-  List.map
-    (fun p ->
-      Telemetry.Counter.incr tc_structural;
-      let support_lits =
-        List.map
-          (fun (name, _) ->
-            match List.assoc_opt name miter.Miter.x_inputs with
-            | Some l -> l
-            | None -> (
-              match
-                Array.find_opt (fun d -> d.Miter.div_name = name) miter.Miter.divisors
-              with
-              | Some d -> d.Miter.div_lit
-              | None -> failwith ("structural: support signal not found: " ^ name)))
-          p.Patch.support
-      in
-      let lit = Patch.import_into p miter.Miter.mgr ~support_lits in
-      Miter.substitute_patch miter ~target:p.Patch.target lit;
-      p)
-    patches
+  Telemetry.Counter.add tc_structural (List.length patches);
+  patches
 
 let solve ?(config = default_config) ?window inst =
   Telemetry.with_phase "eco" @@ fun () ->
@@ -314,35 +295,20 @@ let solve ?(config = default_config) ?window inst =
   let notes = ref [] in
   let sat_calls = ref 0 in
   let acc = ref [] in
-  let finish ?miter status patches used_structural =
-    (* Verification ladder: the substituted miter — whose two sides share
-       structure, making the UNSAT proof far easier than a from-scratch
-       CEC — then Verify.check: random simulation and the full
-       netlist-level CEC.  A miter counterexample short-circuits. *)
-    let budget = verify_budget config in
-    let miter_says () =
-      match miter with
-      | Some (m : Miter.t) when m.Miter.patched <> [] -> (
-        match Cec.check_lit ~budget ~certify:config.certify m.Miter.mgr m.Miter.miter_lit with
+  let finish status patches used_structural =
+    (* One check for every solved outcome with patches: random simulation
+       and the netlist-level CEC of the patched implementation against the
+       specification, which covers outputs outside the window too. *)
+    let verified =
+      Telemetry.with_phase "verify" @@ fun () ->
+      match (status, patches) with
+      | Solved, _ :: _ -> (
+        match
+          Verify.check ~budget:(verify_budget config) ~certify:config.certify inst patches
+        with
         | Cec.Equivalent -> Some true
         | Cec.Counterexample _ -> Some false
         | Cec.Undecided -> None)
-      | _ -> None
-    in
-    let verified =
-      Telemetry.with_phase "verify" @@ fun () ->
-      match (status, config.verify, patches) with
-      | Solved, true, _ :: _ -> (
-        match miter_says () with
-        | Some false -> Some false
-        | miter -> (
-          (* Confirm on the whole netlist, which covers outputs outside
-             the window; an undecided netlist CEC keeps the miter's
-             answer. *)
-          match Verify.check ~budget ~certify:config.certify inst patches with
-          | Cec.Equivalent -> Some true
-          | Cec.Counterexample _ -> Some false
-          | Cec.Undecided -> miter))
       | _ -> None
     in
     Telemetry.Counter.add tc_sat_calls !sat_calls;
@@ -391,7 +357,7 @@ let solve ?(config = default_config) ?window inst =
     let miter = Telemetry.with_phase "miter" (fun () -> Miter.build inst window) in
     if config.force_structural then begin
       let patches = structural_pipeline config miter window None notes in
-      finish ~miter Solved patches true
+      finish Solved patches true
     end
     else begin
       match check_feasibility config miter notes with
@@ -399,17 +365,17 @@ let solve ?(config = default_config) ?window inst =
       | Feasibility_unknown ->
         (* §3.2: assume a solution exists and derive a structural patch. *)
         let patches = structural_pipeline config miter window None notes in
-        finish ~miter Solved patches true
+        finish Solved patches true
       | Feasible certificate -> (
         try
           sat_pipeline config miter notes sat_calls acc;
-          finish ~miter Solved (commit_steps !acc) false
+          finish Solved (commit_steps !acc) false
         with
         | Min_assume.Budget_exhausted ->
           (* SAT timed out mid-flight: already-substituted patches stay;
              the remaining targets get structural patches. *)
           let structural = structural_pipeline config miter window certificate notes in
-          finish ~miter Solved (commit_steps !acc @ structural) true
+          finish Solved (commit_steps !acc @ structural) true
         | Step_infeasible _ ->
           (* The unit is feasible (checked above) but the raising target
              admits no
@@ -420,7 +386,7 @@ let solve ?(config = default_config) ?window inst =
              fallback like a timeout, keeping the finished patches. *)
           notes := ("step_infeasible", 1) :: !notes;
           let structural = structural_pipeline config miter window certificate notes in
-          finish ~miter Solved (commit_steps !acc @ structural) true)
+          finish Solved (commit_steps !acc @ structural) true)
     end
   with
   | Step_infeasible t ->

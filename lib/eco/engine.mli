@@ -19,7 +19,6 @@ type config = {
       (** skip the feasibility check and the SAT pipeline, emulating a
           feasibility timeout; verification gets 10,000 conflicts per
           query instead of 40,000 *)
-  verify : bool;
   certify : bool;
       (** independently certify every final SAT/UNSAT verdict of the run
           (feasibility, support cores, prime cubes, verification) against
@@ -58,6 +57,10 @@ type outcome = {
   depth : int;  (** maximum structural depth over the patches *)
   time : float;  (** wall-clock seconds *)
   verified : bool option;
+      (** the netlist CEC of the patched implementation against the
+          specification ({!Verify.check}): [Some true] equivalent, [Some
+          false] a counterexample, [None] undecided within the
+          verification budget or no patches to check *)
   used_structural : bool;
   sat_calls : int;
   notes : (string * int) list;

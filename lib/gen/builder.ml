@@ -28,11 +28,8 @@ let gate b ?name g fanins =
 let and2 b x y = gate b Netlist.And [ x; y ]
 let or2 b x y = gate b Netlist.Or [ x; y ]
 let xor2 b x y = gate b Netlist.Xor [ x; y ]
-let nand2 b x y = gate b Netlist.Nand [ x; y ]
-let nor2 b x y = gate b Netlist.Nor [ x; y ]
 let xnor2 b x y = gate b Netlist.Xnor [ x; y ]
 let not1 b x = gate b Netlist.Not [ x ]
-let buf1 b x = gate b Netlist.Buf [ x ]
 let mux b ~sel a c = gate b Netlist.Mux [ sel; a; c ]
 
 let const0 b =

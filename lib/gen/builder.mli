@@ -14,11 +14,8 @@ val gate : t -> ?name:string -> Netlist.gate -> string list -> string
 val and2 : t -> string -> string -> string
 val or2 : t -> string -> string -> string
 val xor2 : t -> string -> string -> string
-val nand2 : t -> string -> string -> string
-val nor2 : t -> string -> string -> string
 val xnor2 : t -> string -> string -> string
 val not1 : t -> string -> string
-val buf1 : t -> string -> string
 val mux : t -> sel:string -> string -> string -> string
 (** [mux b ~sel a c] is [sel ? a : c]. *)
 

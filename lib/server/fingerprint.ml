@@ -65,9 +65,9 @@ let canon_weights w =
   |> String.concat "\n"
 
 let options_canon (o : Request.options) =
-  Printf.sprintf "method=%s;certify=%b;structural=%b;verify=%b"
+  Printf.sprintf "method=%s;certify=%b;structural=%b"
     (Request.method_name o.Request.method_)
-    o.Request.certify o.Request.structural o.Request.verify
+    o.Request.certify o.Request.structural
 
 let netlist_side h nl ~targets =
   let conv = Netlist.Convert.to_aig nl in

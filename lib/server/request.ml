@@ -2,7 +2,6 @@ type options = {
   method_ : Eco.Engine.method_;
   certify : bool;
   structural : bool;
-  verify : bool;
   no_cache : bool;
 }
 
@@ -11,7 +10,6 @@ let default_options =
     method_ = Eco.Engine.Min_assume;
     certify = false;
     structural = false;
-    verify = true;
     no_cache = false;
   }
 
@@ -99,11 +97,13 @@ let parse_options obj =
     [ "resynth"; "exact_synth"; "rewrite"; "gate_weight"; "depth_weight" ];
   if Jsonx.member "budget" obj <> None then
     bad "field \"budget\" is retired: the engine's conflict budgets are fixed";
+  (* The retired "reuse_sessions", "inprocess" and "verify" keys are
+     ignored rather than refused: dropping them cannot weaken the answer,
+     and every solved outcome is verified. *)
   {
     method_;
     certify = get_bool obj "certify" ~default:false;
     structural = get_bool obj "structural" ~default:false;
-    verify = get_bool obj "verify" ~default:true;
     no_cache = get_bool obj "no_cache" ~default:false;
   }
 
@@ -220,7 +220,7 @@ let resolve source =
 
 let config_of_options o =
   let c = Eco.Engine.config_of_method o.method_ in
-  { c with Eco.Engine.certify = o.certify; verify = o.verify; force_structural = o.structural }
+  { c with Eco.Engine.certify = o.certify; force_structural = o.structural }
 
 (* {2 Rendering} *)
 
@@ -300,7 +300,6 @@ let spec_to_json { source; options = o } =
     @ [ ("method", Jsonx.Str (method_name o.method_)) ]
     @ flag "certify" o.certify
     @ flag "structural" o.structural
-    @ (if o.verify then [] else [ ("verify", Jsonx.Bool false) ])
     @ flag "no_cache" o.no_cache)
 
 let to_json ?(id = Jsonx.Null) ?deadline_ms request =

@@ -17,12 +17,11 @@ type options = {
       (** batch-style structural override: forces the structural path
           and trims the verification budget, exactly as [eco_cli batch]
           does for suite units flagged structural *)
-  verify : bool;
   no_cache : bool;  (** bypass the server's outcome cache for this job *)
 }
 
 val default_options : options
-(** [min_assume], verify on, everything else off — the defaults of
+(** [min_assume], everything else off — the defaults of
     [eco_cli solve]. *)
 
 val suite_options : ?method_:Eco.Engine.method_ -> Gen.Suite.unit_spec -> options

@@ -18,7 +18,6 @@ let add_cube s c =
   { s with cubes = c :: s.cubes }
 
 let eval s bits = List.exists (fun c -> Cube.eval c bits) s.cubes
-let covers_minterm = eval
 
 let scc_minimize s =
   let rec keep acc = function

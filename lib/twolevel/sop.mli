@@ -27,7 +27,6 @@ val scc_minimize : t -> t
 (** Single-cube-containment minimization: drops every cube contained in
     another cube of the cover. *)
 
-val covers_minterm : t -> bool array -> bool
 val equal_semantic : t -> t -> bool
 (** Exhaustive equivalence check — exponential in [nvars]; only for small
     supports (tests). *)

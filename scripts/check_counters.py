@@ -6,7 +6,8 @@ baseline, joining rows on (unit, method).  Units present in only one file
 are skipped (the CI smoke run covers a subset of the full baseline sweep).
 
 Checked per row:
-  - status ("solved") must match exactly;
+  - status ("solved") and the verification verdict ("verified": true,
+    false or null for undecided) must match exactly;
   - cost, gates and depth must not increase;
   - the solver-effort counters in GATED_COUNTERS must not regress
     (increase) beyond the tolerance: a row fails when
@@ -198,6 +199,10 @@ def main():
         if f.get("solved") != b.get("solved"):
             failures.append(f"{label}: status changed {b.get('solved')} -> {f.get('solved')}")
             continue
+        if f.get("verified") != b.get("verified"):
+            failures.append(
+                f"{label}: verified changed {b.get('verified')} -> {f.get('verified')}"
+            )
         for field in ("cost", "gates", "depth"):
             fv, bv = f.get(field), b.get(field)
             if fv is None or bv is None:

@@ -65,6 +65,12 @@ class CheckCounters(unittest.TestCase):
         fresh["rows"].pop()
         self.assertEqual(self.run_gate(fresh, "--exact"), 1)
 
+    def test_tolerance_gate_fails_a_changed_verdict(self):
+        for verdict in (None, False):
+            fresh = copy.deepcopy(BASELINE)
+            fresh["rows"][0]["verified"] = verdict
+            self.assertEqual(self.run_gate(fresh), 1)
+
     def test_tolerance_gate_fails_a_ten_percent_rise(self):
         fresh = copy.deepcopy(BASELINE)
         fresh["rows"][1]["counters"]["sat.conflicts"] = 2200

@@ -265,6 +265,7 @@ let test_retired_flags () =
       [ "serve"; "--no-cache" ];
       [ "serve"; "--no-cone-cache" ];
       [ "serve"; "--certify-all" ];
+      [ "batch"; "--no-verify"; "unit5" ];
     ]
 
 let test_bench_usage () =
@@ -274,6 +275,7 @@ let test_bench_usage () =
       ("unknown flag", [ "--units"; "unit5"; "--no-verfy" ]);
       ("dangling --json", [ "--units"; "unit5"; "--json" ]);
       ("--resynth", [ "--units"; "unit5"; "--resynth" ]);
+      ("--no-verify", [ "--units"; "unit5"; "--no-verify" ]);
       ("second experiment", [ "unit5"; "--units"; "unit5" ]);
     ]
 

@@ -54,15 +54,22 @@ let test_tiny_all_methods () =
       Alcotest.(check int) "one patch" 1 (List.length o.Eco.Engine.patches))
     [ Eco.Engine.Baseline; Eco.Engine.Min_assume; Eco.Engine.Exact ]
 
+(* Verification is one netlist CEC per solve.  The structural path runs
+   no feasibility check, so the verification query is the run's only
+   CEC. *)
 let test_tiny_structural () =
   let inst = tiny_instance () in
+  let before = Telemetry.local_snapshot () in
   let o =
     solve_with Eco.Engine.Min_assume
       ~tweak:(fun c -> { c with Eco.Engine.force_structural = true })
       inst
   in
+  let delta = Telemetry.diff before (Telemetry.local_snapshot ()) in
   check_solved_verified "tiny structural" o;
-  Alcotest.(check bool) "used structural" true o.Eco.Engine.used_structural
+  Alcotest.(check bool) "used structural" true o.Eco.Engine.used_structural;
+  Alcotest.(check int) "one cec.checks" 1
+    (Option.value (List.assoc_opt "cec.checks" delta) ~default:0)
 
 let test_window () =
   let inst = tiny_instance () in
@@ -444,44 +451,6 @@ let test_patched_netlist_structure () =
   let w = Netlist.node patched "w" in
   Alcotest.(check bool) "target rewired" true (w.Netlist.gate = Netlist.Buf)
 
-let test_bdd_patch_matches () =
-  (* The BDD-era patch (ISOP between the miter cofactors) must verify just
-     like the SAT-computed one. *)
-  let inst = tiny_instance () in
-  let window = Eco.Window.compute inst in
-  let miter = Eco.Miter.build inst window in
-  let m_i = Eco.Miter.quantify_others miter ~keep:"w" in
-  match Eco.Patch_bdd.compute miter ~m_i ~target:"w" ~window with
-  | None -> Alcotest.fail "window is small; BDD route must apply"
-  | Some r -> (
-    Alcotest.(check bool) "some cubes" true (r.Eco.Patch_bdd.cubes >= 1);
-    match Eco.Verify.check inst [ r.Eco.Patch_bdd.patch ] with
-    | Cec.Equivalent -> ()
-    | _ -> Alcotest.fail "BDD patch must verify")
-
-let bdd_patches_verify_random =
-  Test_util.qcheck ~count:20 "BDD patches verify on random instances"
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let impl = Gen.Circuits.random_dag ~seed ~inputs:6 ~gates:30 ~outputs:3 () in
-      match
-        Gen.Mutate.make_instance ~name:"rb" ~style:(Gen.Mutate.New_cone 3)
-          ~dist:Netlist.Weights.T8 ~seed ~n_targets:1 impl
-      with
-      | exception Failure _ -> true
-      | inst -> (
-        let window = Eco.Window.compute inst in
-        let miter = Eco.Miter.build inst window in
-        let target = List.hd inst.Eco.Instance.targets in
-        let m_i = Eco.Miter.quantify_others miter ~keep:target in
-        match Eco.Patch_bdd.compute miter ~m_i ~target ~window with
-        | None -> true
-        | exception Failure _ -> true (* infeasible window *)
-        | Some r -> (
-          match Eco.Verify.check inst [ r.Eco.Patch_bdd.patch ] with
-          | Cec.Equivalent -> true
-          | _ -> false)))
-
 let random_instances_solved =
   Test_util.qcheck ~count:25 "random instances solve and verify"
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 2))
@@ -689,8 +658,6 @@ let () =
           Alcotest.test_case "exact = brute force minimum" `Quick
             test_exact_is_minimum_by_brute_force;
           Alcotest.test_case "exact: counted node budget" `Quick test_sat_prune_node_budget;
-          Alcotest.test_case "bdd patch verifies" `Quick test_bdd_patch_matches;
-          bdd_patches_verify_random;
         ] );
       ( "patch",
         [

@@ -101,26 +101,6 @@ let test_netlist_eval_missing_input () =
   Alcotest.(check bool) "missing input value" true
     (fails_failure (fun () -> ignore (Netlist.eval t [])))
 
-let test_engine_no_verify () =
-  let n name gate fanins = { Netlist.name; gate; fanins = Array.of_list fanins } in
-  let impl =
-    Netlist.create
-      [ n "a" Netlist.Input []; n "b" Netlist.Input []; n "w" Netlist.And [ "a"; "b" ];
-        n "y" Netlist.Buf [ "w" ] ]
-      ~outputs:[ "y" ]
-  in
-  let spec =
-    Netlist.create
-      [ n "a" Netlist.Input []; n "b" Netlist.Input []; n "w" Netlist.Or [ "a"; "b" ];
-        n "y" Netlist.Buf [ "w" ] ]
-      ~outputs:[ "y" ]
-  in
-  let inst = Eco.Instance.make ~impl ~spec ~targets:[ "w" ] ~weights:(Hashtbl.create 4) () in
-  let config = { Eco.Engine.default_config with Eco.Engine.verify = false } in
-  let o = Eco.Engine.solve ~config inst in
-  Alcotest.(check bool) "solved" true (o.Eco.Engine.status = Eco.Engine.Solved);
-  Alcotest.(check bool) "verification skipped" true (o.Eco.Engine.verified = None)
-
 let test_window_unreachable_target () =
   (* A target that reaches no output must be rejected by Window.compute. *)
   let n name gate fanins = { Netlist.name; gate; fanins = Array.of_list fanins } in
@@ -173,7 +153,6 @@ let () =
           Alcotest.test_case "instance validation" `Quick test_instance_validation;
           Alcotest.test_case "patch validation" `Quick test_patch_validation;
           Alcotest.test_case "netlist eval missing input" `Quick test_netlist_eval_missing_input;
-          Alcotest.test_case "engine verify off" `Quick test_engine_no_verify;
           Alcotest.test_case "window unreachable target" `Quick test_window_unreachable_target;
           Alcotest.test_case "sop support mismatch" `Quick test_sop_support_mismatch;
           Alcotest.test_case "factor semantics" `Quick test_factor_idempotent_semantics;

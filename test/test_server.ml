@@ -321,14 +321,16 @@ let test_guard_catches_poisoned_entry () =
   Alcotest.(check string) "healed entry replays the genuine result" genuine
     (J.to_string (result_of r3))
 
-(* Older clients may still send the retired "reuse_sessions" and
-   "inprocess" options.  They are ignored, so such a request shares the
-   fingerprint, and so the cache entry, of the same request without
-   them. *)
+(* Older clients may still send the retired "reuse_sessions",
+   "inprocess" and "verify" options.  They are ignored, so such a request
+   shares the fingerprint, and so the cache entry, of the same request
+   without them. *)
 let test_retired_options_share_cache () =
   let t = Server.create sync_config in
   let plain = payload (R.Solve (unit_spec "unit5")) in
-  let retired = {|{"v":1,"op":"solve","unit":"unit5","reuse_sessions":true,"inprocess":true}|} in
+  let retired =
+    {|{"v":1,"op":"solve","unit":"unit5","reuse_sessions":true,"inprocess":true,"verify":false}|}
+  in
   let key s =
     match R.parse s with
     | Ok { R.request = R.Solve spec; _ } -> (
