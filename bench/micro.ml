@@ -1,9 +1,9 @@
 (* Bechamel microbenchmarks of the computational kernels behind each
    experiment: SAT solving on miter CNFs, a small CEC query, one support
    search of the sat_heavy workload, a request's fixed costs (instance
-   set-up, window, fingerprint), the exact hitting set, AIG
-   strashing, Tseitin encoding, cube enumeration, max-flow, and
-   minimize_assumptions. *)
+   set-up, window, fingerprint), the exact hitting set, target discovery
+   on unit6, AIG strashing, Tseitin encoding, cube enumeration, max-flow,
+   and minimize_assumptions. *)
 
 open Bechamel
 open Toolkit
@@ -81,6 +81,18 @@ let hs_minimum_test () =
   let hs = Diff.Hitting_set.of_list ~weights clauses in
   Test.make ~name:"hs: minimum (unit20-sized, 11k nodes)"
     (Staged.stage (fun () -> ignore (Diff.Hitting_set.minimum hs)))
+
+let discover_test () =
+  (* Target discovery on the blind unit6, the MCS loop that dominates the
+     perfbench discovery workload.  [Discover.run] builds a fresh
+     rectifiability oracle, so no run reuses another's fixes or pooled
+     inputs. *)
+  let blind, _ = Gen.Suite.instantiate_blind (Gen.Suite.find "unit6") in
+  Test.make ~name:"diff: discover unit6"
+    (Staged.stage (fun () ->
+         ignore
+           (Diff.Discover.run ~impl:blind.Eco.Instance.impl ~spec:blind.Eco.Instance.spec
+              ~weights:blind.Eco.Instance.weights ())))
 
 let strash_test () =
   Test.make ~name:"aig: strash multiplier-8"
@@ -163,6 +175,7 @@ let run () =
         window_test ();
         fingerprint_test ();
         hs_minimum_test ();
+        discover_test ();
         strash_test ();
         cnf_test ();
         simulate_test ();

@@ -1,7 +1,8 @@
 (* Incremental rectifiability oracle: one verifier per run and one
    synthesis solver per miter, the universal over the freed signals
    expanded one fix at a time, and every copy kept for the rest of the
-   run. *)
+   run.  A pool of the witness inputs of earlier [`No] verdicts, simulated
+   63 to a word, refutes most later proposals before any solve. *)
 
 (* A netlist node, in topological order. *)
 type node = {
@@ -11,6 +12,17 @@ type node = {
 }
 
 type key = Cone of string | Joint
+
+(* Proposals that free more relevant candidates than this are left to
+   the solvers: the pool check enumerates every constant fix. *)
+let pool_fix_bits = 6
+
+(* Remembered witness inputs, packed into the bits of one native int. *)
+type word = {
+  mutable width : int;  (* inputs held, in bits 0 .. width-1 *)
+  vals : int array;  (* node -> its values in the plain implementation *)
+  spec : int array;  (* output node -> the specification's values *)
+}
 
 (* What the oracle keeps per miter. *)
 type miter = {
@@ -52,10 +64,32 @@ type t = {
   frees : Sat.Lit.t array;  (* candidate -> its free input z_c *)
   inputs : Aig.lit array;  (* primary inputs, for each synthesis solver *)
   miters : (key, miter) Hashtbl.t;
+  (* The pool, newest word first; empty until the first [`No] a solve
+     proves. *)
+  pis : int array;  (* primary input -> node *)
+  mutable pool : word list;
+  sim : int array;  (* node -> scratch pool values over the TFO *)
 }
 
 let tc_fixes = Telemetry.Counter.make "diff.fixes"
 let tc_recalled = Telemetry.Counter.make "diff.recalled"
+let tc_pool_refuted = Telemetry.Counter.make "diff.pool_refuted"
+
+let gate_word gate v =
+  let fold op init = Array.fold_left op init v in
+  match gate with
+  | Netlist.Const0 -> 0
+  | Netlist.Const1 -> -1
+  | Netlist.Buf -> v.(0)
+  | Netlist.Not -> lnot v.(0)
+  | Netlist.And -> fold ( land ) (-1)
+  | Netlist.Or -> fold ( lor ) 0
+  | Netlist.Nand -> lnot (fold ( land ) (-1))
+  | Netlist.Nor -> lnot (fold ( lor ) 0)
+  | Netlist.Xor -> fold ( lxor ) 0
+  | Netlist.Xnor -> lnot (fold ( lxor ) 0)
+  | Netlist.Mux -> (v.(0) land v.(1)) lor (lnot v.(0) land v.(2))
+  | Netlist.Input -> invalid_arg "Rectify.gate_word"
 
 let create mgr ~impl ~impl_lit ~spec_lit ~mismatched ~candidates =
   let order = Array.of_list (Netlist.topological_order impl) in
@@ -124,6 +158,9 @@ let create mgr ~impl ~impl_lit ~spec_lit ~mismatched ~candidates =
     frees = encode verif_env free;
     inputs;
     miters = Hashtbl.create 16;
+    pis = Array.of_list (List.map (Hashtbl.find index_of) (Netlist.inputs impl));
+    pool = [];
+    sim = Array.make (Array.length nodes) 0;
   }
 
 let output_miter t lits o = Aig.xor_ t.mgr lits.(Hashtbl.find t.index_of o) (t.spec_lit o)
@@ -239,6 +276,75 @@ let add_fix t m key s =
   Sat.Solver.add_clause m.synth (copy :: List.map off s);
   Telemetry.Counter.incr tc_fixes
 
+(* Adds the witness input [x] (a value per primary input) to the pool
+   and simulates its word again in the manager, for the plain
+   implementation's nodes and the specification's outputs. *)
+let remember t x =
+  let n = Array.length t.nodes in
+  let w =
+    match t.pool with
+    | w :: _ when w.width < Sys.int_size -> w
+    | _ ->
+      let w = { width = 0; vals = Array.make n 0; spec = Array.make n 0 } in
+      t.pool <- w :: t.pool;
+      w
+  in
+  let words = Array.make (Aig.num_inputs t.mgr) 0L in
+  Array.iteri
+    (fun p i ->
+      if x.(p) then w.vals.(i) <- w.vals.(i) lor (1 lsl w.width);
+      words.(Aig.input_index t.mgr (Aig.node_of t.base.(i))) <- Int64.of_int w.vals.(i))
+    t.pis;
+  w.width <- w.width + 1;
+  let values = Aig.simulate t.mgr words in
+  let value l = Int64.to_int (Aig.lit_value values l) in
+  Array.iteri (fun i l -> w.vals.(i) <- value l) t.base;
+  List.iter (fun o -> w.spec.(Hashtbl.find t.index_of o) <- value (t.spec_lit o)) t.outputs
+
+(* Whether some pooled input stays mismatched on the miter of [key]
+   under every constant fix of [s], the proposal's freed relevant
+   candidates: then no fix repairs it, and the answer is [`No].  Only the
+   proposal's TFO is simulated again; every other node keeps its pooled
+   value. *)
+let pool_refutes t key s =
+  let k = List.length s in
+  t.pool <> []
+  && k <= pool_fix_bits
+  &&
+  let bit = Array.make (Array.length t.acts) (-1) in
+  List.iteri (fun j c -> bit.(c) <- j) s;
+  let outs =
+    match key with
+    | Cone o -> [ Hashtbl.find t.index_of o ]
+    | Joint ->
+      (* As [fixed_miter]: outputs outside the proposal's reach keep
+         their anchored value. *)
+      List.filter_map
+        (fun o ->
+          let i = Hashtbl.find t.index_of o in
+          if Hashtbl.mem t.mismatched o || t.in_tfo.(i) then Some i else None)
+        t.outputs
+  in
+  List.exists
+    (fun w ->
+      let value i = if t.in_tfo.(i) then t.sim.(i) else w.vals.(i) in
+      let alive = ref (if w.width = Sys.int_size then -1 else (1 lsl w.width) - 1) in
+      let fix = ref 0 in
+      while !alive <> 0 && !fix < 1 lsl k do
+        Array.iter
+          (fun i ->
+            let nd = t.nodes.(i) in
+            t.sim.(i) <-
+              (if nd.cand >= 0 && t.tfo_freed.(nd.cand) then
+                 if bit.(nd.cand) >= 0 && (!fix lsr bit.(nd.cand)) land 1 = 1 then -1 else 0
+               else gate_word nd.gate (Array.map value nd.fanins)))
+          t.tfo;
+        alive := !alive land List.fold_left (fun acc i -> acc lor (value i lxor w.spec.(i))) 0 outs;
+        incr fix
+      done;
+      !alive <> 0)
+    t.pool
+
 (* [subset a b] on ascending lists. *)
 let rec subset a b =
   match (a, b) with
@@ -254,6 +360,52 @@ let recall m s =
   else if List.exists (fun d -> subset s d) m.insufficient then Some `No
   else None
 
+(* The CEGAR loop on the solvers, for a proposal the pool does not
+   refute.  A [`No] adds its witness input to the pool. *)
+let solve_check t m ~budget key s freed =
+  let used = ref 0 in
+  (* Every solve of this check draws on one conflict budget. *)
+  let solve solver assumptions =
+    let left = budget - !used in
+    if left <= 0 then Sat.Solver.Unknown
+    else begin
+      Sat.Solver.set_budget solver left;
+      let before = Sat.Solver.n_conflicts solver in
+      let r = Sat.Solver.solve ~assumptions solver in
+      used := !used + Sat.Solver.n_conflicts solver - before;
+      r
+    end
+  in
+  (* Every input and every activation is assumed, so the verifier only
+     searches the free inputs of the proposal. *)
+  let proposal =
+    Sat.Lit.neg m.root
+    :: Array.to_list (Array.mapi (fun c a -> Sat.Lit.apply_sign a (not freed.(c))) t.acts)
+  in
+  let rec loop () =
+    (* An input that every fix collected for a part of [s] leaves
+       mismatched ... *)
+    let enabled = List.filter_map (fun c -> Option.map Sat.Lit.neg m.off.(c)) s in
+    match solve m.synth enabled with
+    | Sat.Solver.Unknown -> `Unknown
+    | Sat.Solver.Unsat -> `Yes
+    | Sat.Solver.Sat -> (
+      let x = Array.map (Sat.Solver.value m.synth) m.xs_synth in
+      let input =
+        Array.to_list (Array.mapi (fun i l -> Sat.Lit.apply_sign l (not x.(i))) t.xs_verif)
+      in
+      (* ... and whether some fix repairs it under this proposal. *)
+      match solve t.verif (input @ proposal) with
+      | Sat.Solver.Unknown -> `Unknown
+      | Sat.Solver.Unsat ->
+        remember t x;
+        `No
+      | Sat.Solver.Sat ->
+        add_fix t m key s;
+        loop ())
+  in
+  loop ()
+
 let check t ~budget key freed =
   Telemetry.with_phase "rectify" @@ fun () ->
   let m = find_miter t key in
@@ -266,48 +418,13 @@ let check t ~budget key freed =
     verdict
   | None ->
     set_tfo t freed;
-    let used = ref 0 in
-    (* Every solve of this check draws on one conflict budget. *)
-    let solve solver assumptions =
-      let left = budget - !used in
-      if left <= 0 then Sat.Solver.Unknown
-      else begin
-        Sat.Solver.set_budget solver left;
-        let before = Sat.Solver.n_conflicts solver in
-        let r = Sat.Solver.solve ~assumptions solver in
-        used := !used + Sat.Solver.n_conflicts solver - before;
-        r
+    let verdict =
+      if pool_refutes t key s then begin
+        Telemetry.Counter.incr tc_pool_refuted;
+        `No
       end
+      else solve_check t m ~budget key s freed
     in
-    (* Every input and every activation is assumed, so the verifier
-       only searches the free inputs of the proposal. *)
-    let proposal =
-      Sat.Lit.neg m.root
-      :: Array.to_list (Array.mapi (fun c a -> Sat.Lit.apply_sign a (not freed.(c))) t.acts)
-    in
-    let rec loop () =
-      (* An input that every fix collected for a part of [s] leaves
-         mismatched ... *)
-      let enabled = List.filter_map (fun c -> Option.map Sat.Lit.neg m.off.(c)) s in
-      match solve m.synth enabled with
-      | Sat.Solver.Unknown -> `Unknown
-      | Sat.Solver.Unsat -> `Yes
-      | Sat.Solver.Sat -> (
-        let input =
-          Array.to_list
-            (Array.mapi
-               (fun i l -> Sat.Lit.apply_sign t.xs_verif.(i) (not (Sat.Solver.value m.synth l)))
-               m.xs_synth)
-        in
-        (* ... and whether some fix repairs it under this proposal. *)
-        match solve t.verif (input @ proposal) with
-        | Sat.Solver.Unknown -> `Unknown
-        | Sat.Solver.Unsat -> `No
-        | Sat.Solver.Sat ->
-          add_fix t m key s;
-          loop ())
-    in
-    let verdict = loop () in
     (match verdict with
     | `Yes -> m.sufficient <- s :: m.sufficient
     | `No -> m.insufficient <- s :: m.insufficient

@@ -26,7 +26,15 @@
        between proposals.}
     {- {b Recall.}  Freeing more signals never hurts, so a proposal that
        contains one found sufficient, or lies inside one found
-       insufficient, is answered without solving.}}
+       insufficient, is answered without solving.}
+    {- {b Refutation from remembered inputs.}  Every [`No] the solvers
+       prove comes with an input [x*] that no fix repairs; the oracle
+       keeps these inputs in a pool, simulated 63 to a native-int word.
+       A proposal that is not recalled and frees at most six relevant
+       candidates is first simulated over the pool under each of its
+       constant fixes, again only over its transitive fanout: a pooled
+       input that stays mismatched under every fix proves [`No] without
+       a solve.}}
 
     The answers are exact up to the conflict budget: a check that runs
     out returns [`Unknown]. *)
@@ -61,3 +69,9 @@ val cone : t -> budget:int -> string -> bool array -> [ `Yes | `No | `Unknown ]
 val joint : t -> budget:int -> bool array -> [ `Yes | `No | `Unknown ]
 (** As {!cone}, for all mismatched outputs and every other output the
     freed signals reach, simultaneously. *)
+
+val gate_word : Netlist.gate -> int array -> int
+(** [gate_word g v]: gate [g] over the fanin words [v], bit by bit, as
+    {!Netlist.eval} evaluates it ([Mux] fanins [s; a; b] give
+    [s ? a : b]).  The pool simulates with it.  Raises
+    [Invalid_argument] on [Input]. *)

@@ -165,6 +165,8 @@ let verdict_name = function `Yes -> "yes" | `No -> "no" | `Unknown -> "unknown"
    recalled verdicts it carries between proposals are under test too. *)
 let test_oracle_vs_expansion () =
   let compared = ref 0 and sufficient = ref 0 in
+  (* [`No] verdicts by where they came from. *)
+  let pooled = ref 0 and solved = ref 0 in
   for seed = 1 to 12 do
     let base = Gen.Circuits.random_dag ~seed ~inputs:6 ~gates:26 ~outputs:4 () in
     let rand = Random.State.make [| seed |] in
@@ -193,9 +195,17 @@ let test_oracle_vs_expansion () =
           freed.(Random.State.int rand n) <- true
         done;
         let names = List.filteri (fun i _ -> freed.(i)) (Array.to_list candidates) in
-        let agree what got expected =
+        let agree what ask expected =
+          let before = Telemetry.local_snapshot () in
+          let got = ask () in
+          let moved name =
+            List.mem_assoc name (Telemetry.diff before (Telemetry.local_snapshot ()))
+          in
           incr compared;
           if got = `Yes then incr sufficient;
+          if got = `No then
+            if moved "diff.pool_refuted" then incr pooled
+            else if not (moved "diff.recalled") then incr solved;
           Alcotest.(check string)
             (Printf.sprintf "seed %d round %d %s [%s]" seed round what (String.concat "," names))
             (verdict_name expected) (verdict_name got)
@@ -203,7 +213,7 @@ let test_oracle_vs_expansion () =
         List.iter
           (fun o ->
             agree o
-              (Diff.Rectify.cone oracle ~budget:1_000_000 o freed)
+              (fun () -> Diff.Rectify.cone oracle ~budget:1_000_000 o freed)
               (expanded_verdict c names [ o ]))
           c.mismatched;
         let reached = Netlist.outputs_reached_by base names in
@@ -211,7 +221,7 @@ let test_oracle_vs_expansion () =
           c.mismatched @ List.filter (fun o -> not (List.mem o c.mismatched)) reached
         in
         agree "joint"
-          (Diff.Rectify.joint oracle ~budget:1_000_000 freed)
+          (fun () -> Diff.Rectify.joint oracle ~budget:1_000_000 freed)
           (expanded_verdict c names affected)
       done
     end
@@ -219,7 +229,95 @@ let test_oracle_vs_expansion () =
   (* Both verdicts must actually occur for the comparison to mean much. *)
   Alcotest.(check bool) "compared many checks" true (!compared > 200);
   Alcotest.(check bool) "some sufficient" true (!sufficient > 0);
-  Alcotest.(check bool) "some insufficient" true (!sufficient < !compared)
+  Alcotest.(check bool) "some insufficient" true (!sufficient < !compared);
+  (* So must both ways to a [`No]: from the pool of remembered inputs,
+     and from the solvers. *)
+  Alcotest.(check bool) "some refuted from the pool" true (!pooled > 0);
+  Alcotest.(check bool) "some refuted by the solvers" true (!solved > 0)
+
+(* A witness input that a solve found for one proposal refutes another
+   on its own.  impl: y = (a AND b) OR (NOT c) OR (NOT d); spec drops
+   the AND term, so a = b = c = d = 1 is the only mismatched input, and
+   freeing either inverter leaves it mismatched. *)
+let test_pool_refutes () =
+  let inputs = List.map (fun n -> node n Netlist.Input [||]) [ "a"; "b"; "c"; "d" ] in
+  let inverters = [ node "nc" Netlist.Not [| "c" |]; node "nd" Netlist.Not [| "d" |] ] in
+  let impl =
+    netlist
+      (inputs @ inverters
+      @ [ node "g" Netlist.And [| "a"; "b" |]; node "y" Netlist.Or [| "g"; "nc"; "nd" |] ])
+      ~outputs:[ "y" ]
+  in
+  let spec =
+    netlist (inputs @ inverters @ [ node "y" Netlist.Or [| "nc"; "nd" |] ]) ~outputs:[ "y" ]
+  in
+  let c = convert ~impl ~spec in
+  let candidates = [| "nc"; "nd"; "g"; "y" |] in
+  let oracle =
+    Diff.Rectify.create c.mgr ~impl ~impl_lit:c.impl_lit ~spec_lit:c.spec_lit
+      ~mismatched:c.mismatched ~candidates
+  in
+  let ask freed =
+    let before = Telemetry.local_snapshot () in
+    let verdict =
+      Diff.Rectify.cone oracle ~budget:1_000_000 "y"
+        (Array.map (fun n -> List.mem n freed) candidates)
+    in
+    let delta = Telemetry.diff before (Telemetry.local_snapshot ()) in
+    let counter name = List.assoc_opt name delta |> Option.value ~default:0 in
+    (verdict_name verdict, counter "sat.solves", counter "diff.pool_refuted")
+  in
+  let verdict, solves, pooled = ask [ "nc" ] in
+  Alcotest.(check string) "{nc}: no" "no" verdict;
+  Alcotest.(check bool) "{nc}: the solvers decide" true (solves > 0);
+  Alcotest.(check int) "{nc}: the pool is empty" 0 pooled;
+  let verdict, solves, pooled = ask [ "nd" ] in
+  Alcotest.(check string) "{nd}: no" "no" verdict;
+  Alcotest.(check int) "{nd}: no solve" 0 solves;
+  Alcotest.(check int) "{nd}: refuted from the pool" 1 pooled;
+  let verdict, _, pooled = ask [ "g" ] in
+  Alcotest.(check string) "{g}: yes" "yes" verdict;
+  Alcotest.(check int) "{g}: not refuted" 0 pooled
+
+(* The pool's word-level gates agree with [Netlist.eval] on each of 63
+   random patterns, for every gate kind; kinds that take any number of
+   fanins are tried with two and three. *)
+let test_gate_word () =
+  let rand = Random.State.make [| 31 |] in
+  let word () =
+    Random.State.bits rand lor (Random.State.bits rand lsl 30) lor (Random.State.bits rand lsl 60)
+  in
+  let kinds =
+    [ (Netlist.Const0, [ 0 ]); (Netlist.Const1, [ 0 ]); (Netlist.Buf, [ 1 ]); (Netlist.Not, [ 1 ]);
+      (Netlist.Mux, [ 3 ]) ]
+    @ List.map
+        (fun g -> (g, [ 2; 3 ]))
+        [ Netlist.And; Netlist.Or; Netlist.Nand; Netlist.Nor; Netlist.Xor; Netlist.Xnor ]
+  in
+  List.iter
+    (fun (gate, arities) ->
+      List.iter
+        (fun n ->
+          let ins = List.init n (Printf.sprintf "i%d") in
+          let gnet =
+            netlist
+              (List.map (fun i -> node i Netlist.Input [||]) ins
+              @ [ node "g" gate (Array.of_list ins) ])
+              ~outputs:[ "g" ]
+          in
+          let words = Array.init n (fun _ -> word ()) in
+          let expected = ref 0 in
+          for bit = 0 to Sys.int_size - 1 do
+            let at v = (v lsr bit) land 1 = 1 in
+            if List.assoc "g" (Netlist.eval gnet (List.mapi (fun k i -> (i, at words.(k))) ins))
+            then expected := !expected lor (1 lsl bit)
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "%d-input %s" n (Netlist.gate_name gate))
+            !expected
+            (Diff.Rectify.gate_word gate words))
+        arities)
+    kinds
 
 (* A conflict cap too small for the checks turns verdicts into
    [`Unknown], and the run must then not claim a minimum. *)
@@ -316,6 +414,8 @@ let () =
           Alcotest.test_case "deep cut" `Quick test_deep_cut;
           Alcotest.test_case "weighted cut" `Quick test_weighted_cut;
           Alcotest.test_case "oracle matches explicit expansion" `Quick test_oracle_vs_expansion;
+          Alcotest.test_case "pool refutes without a solve" `Quick test_pool_refutes;
+          Alcotest.test_case "pool gates match Netlist.eval" `Quick test_gate_word;
           Alcotest.test_case "conflict cap clears minimum" `Quick test_conflict_cap;
         ] );
       ("blind suite", [ Alcotest.test_case "fixed seeds" `Slow test_blind_suite ]);
